@@ -17,7 +17,6 @@ from .ensembles import (
     ConfigError,
     EnsembleSpec,
     EntryDistribution,
-    KSchedule,
     build_bidiagonal_embedding,
     build_bidiagonal_embedding_int,
     default_precision,

@@ -3,7 +3,8 @@
 Commands: simulate (run an ensemble experiment, write JSON + CSV reports),
 verify (exact check suites), theory (closed-form target tables), compare
 (two reports -> total-variation summary).  Exit codes: 0 success, 1 runtime
-failure, 2 configuration error.  COKFLUCT_WORKERS caps worker parallelism.
+failure, 2 configuration error.  COKFLUCT_WORKERS, a positive integer, caps
+worker parallelism.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import click
 
 from .ensembles import ConfigError, EnsembleSpec
 from .exact_linalg import IntMatrix
-from .experiments import ExperimentReport, compare_ensembles, run_experiment
+from .experiments import ExperimentReport, compare_ensembles, run_experiment, worker_budget
 from .oracles import (
     FiniteSupportMatrixLaw,
     verify_balanced_sums,
@@ -52,6 +53,12 @@ class RunConfig:
     output_dir: str = "run"
     reproducible: bool = False
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ConfigError(f"trials must be >= 0, got {self.trials}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return {
@@ -84,6 +91,7 @@ class RunConfig:
             lambdas = tuple(as_partition(lam) for lam in d.get("lambdas", []))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad groups/lambdas: {exc}") from exc
+        worker_budget(1)  # a malformed COKFLUCT_WORKERS is a configuration error
         return cls(
             ensemble=EnsembleSpec.from_dict(d["ensemble"]),
             trials=int(d["trials"]),

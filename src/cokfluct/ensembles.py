@@ -7,13 +7,12 @@ of a product, and a counter-style deterministic seeding contract:
     rng(trial) = numpy PCG64 seeded with SeedSequence([master_seed, trial])
 
 Every sampler draws plain integers first and reduces mod p**N afterwards, so
-re-invoking a trial at a higher precision reproduces the same integer matrix
-reduced at the new precision.
+a trial is the same integer matrix at every precision, and
+`determinant_blocks` redraws the exact integer blocks of that same trial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,10 +25,8 @@ __all__ = [
     "ConfigError",
     "EntryDistribution",
     "EnsembleSpec",
-    "KSchedule",
     "GENERATOR_ID",
     "default_precision",
-    "PRECISION_CAP",
     "trial_rng",
     "sample_block_matrix",
     "sample_block_matrix_int",
@@ -37,12 +34,12 @@ __all__ = [
     "sample_product_int",
     "product_factors",
     "product_factors_int",
+    "determinant_blocks",
     "build_bidiagonal_embedding",
     "build_bidiagonal_embedding_int",
 ]
 
 GENERATOR_ID = "numpy-PCG64(SeedSequence([master_seed, trial]))"
-PRECISION_CAP = 256
 
 
 class ConfigError(ValueError):
@@ -54,8 +51,11 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def default_precision(p: int, k: int) -> int:
-    """max(16, ceil(log_p k) + 8); divisor valuations concentrate near
-    log_p k, so this is exceeded only with vanishing probability."""
+    """max(16, ceil(log_p k) + 8): the samplers' precision when none is given.
+
+    Only a default for direct sampler calls; it does not bound the divisor
+    valuations, whose largest part is about 16 for 16 blocks of 12x12 and
+    55-75 for products of 64 factors of 20x20 at p = 2."""
     e = 0
     while p ** e < k:
         e += 1
@@ -404,53 +404,36 @@ def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:
     return [det_bareiss(f) for f in product_factors_int(spec, trial)]
 
 
-def _max_abs_entry(dist: EntryDistribution) -> int:
-    return max(1, max(abs(v) for v, _ in dist.support_pairs()))
+def determinant_blocks(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """Integer (b, m, m) stack whose determinants multiply to det M.
+
+    The k factors of a product or embedding trial, or the diagonal blocks of
+    a block_triangular trial, each padded with an identity to the largest
+    block size, which keeps its determinant."""
+    if spec.kind != "block_triangular":
+        return np.stack(_draw_factor_entries(spec, trial))
+    full = _draw_block_entries(spec, trial)
+    m = max(spec.block_sizes)
+    stack = np.broadcast_to(np.identity(m, dtype=np.int64), (spec.k, m, m)).copy()
+    start = 0
+    for blk, s in zip(stack, spec.block_sizes):
+        blk[:s, :s] = full[start:start + s, start:start + s]
+        start += s
+    return stack
 
 
 def sample_product(spec: EnsembleSpec, trial: int, precision: int | None = None) -> PadicMatrix:
-    """A_1 A_2 ... A_k reduced mod p**N, left to right.
-
-    Runs of consecutive factors whose exact product provably fits int64 are
-    multiplied exactly first; the group products are then folded together
-    with ordinary modular dots.  The result equals the fully reduced
-    left-to-right product, at a fraction of the wide-precision work.
-    """
+    """A_1 A_2 ... A_k reduced mod p**N, folded left to right."""
     _require_factor_kind(spec, "sample_product")
     if trial < 0:
         raise ValueError("trial must be >= 0")
     N = precision if precision is not None else spec.working_precision()
-    p = spec.p
-    q = p ** N
-    n = spec.n
-    factors = _draw_factor_entries(spec, trial)
-    entry_cap = _max_abs_entry(spec.A_dist)
-
-    groups = []
-    acc = factors[0]
-    bound = entry_cap  # |entries of acc| <= bound, exactly over Z
+    q = spec.p ** N
+    factors = [_reduce_entries(f, spec.p, N) for f in _draw_factor_entries(spec, trial)]
+    out = factors[0]
     for f in factors[1:]:
-        if bound * entry_cap * n < 2 ** 62:
-            acc = np.dot(acc, f)
-            bound = bound * entry_cap * n
-        else:
-            groups.append(acc)
-            acc = f
-            bound = entry_cap
-    groups.append(acc)
-
-    out = _reduce_entries(groups[0], p, N)
-    for g in groups[1:]:
-        out = _mod_dot(out, _reduce_entries(g, p, N), q)
-    return PadicMatrix(out, p, N)
-
-
-def _mod_dot(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    # int64 operands are dot-safe by the residue_dtype contract; uint64
-    # wraps mod 2**64, which reduction mod q = 2**N then corrects
-    if a.dtype == np.uint64:
-        return np.dot(a, b) % np.uint64(q)
-    return np.dot(a, b) % q
+        out = np.dot(out, f) % q  # dot-safe by the residue_dtype contract
+    return PadicMatrix(out, spec.p, N)
 
 
 def sample_product_int(spec: EnsembleSpec, trial: int) -> IntMatrix:
@@ -499,36 +482,3 @@ def build_bidiagonal_embedding_int(factors: Sequence[IntMatrix]) -> IntMatrix:
             if i:
                 rows[i * n + r][(i - 1) * n + r] = 1
     return IntMatrix.from_rows(rows)
-
-
-# ---------------------------------------------------------------------------
-# k schedules targeting a fractional part zeta
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KSchedule:
-    """k(m) = round(p**(m - zeta)) clamped to >= 2, so the fractional part of
-    -log_p k(m) tends to zeta_target along the schedule."""
-
-    p: int
-    zeta_target: float
-    m_range: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.zeta_target < 1:
-            raise ConfigError("zeta_target must lie in [0, 1)")
-        object.__setattr__(self, "m_range", tuple(int(m) for m in self.m_range))
-
-    def k_for(self, m: int) -> int:
-        x = self.p ** float(m - self.zeta_target)
-        return max(2, math.floor(x + 0.5))
-
-    def k_values(self) -> list[int]:
-        return [self.k_for(m) for m in self.m_range]
-
-    def fractional_parts(self) -> list[float]:
-        out = []
-        for k in self.k_values():
-            x = -math.log(k, self.p)
-            out.append(x - math.floor(x))
-        return out

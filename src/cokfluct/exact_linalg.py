@@ -68,34 +68,20 @@ class IntMatrix:
         return self.entries[i * self.cols + j]
 
 
-def _int64_safe(p: int, precision: int, dim: int) -> bool:
-    # Every intermediate is a dot product of at most `dim` terms, each a
-    # product of two residues below q = p**precision.
-    q = p ** precision
-    return dim * (q - 1) * (q - 1) < 2 ** 62
-
-
 def residue_dtype(p: int, precision: int, dim: int):
-    """Array dtype for residues mod p**precision with `dim`-length dots.
-
-    int64 when every intermediate fits exactly; for p = 2 with precision up
-    to 63, uint64 with C wraparound semantics (truncation mod 2**64 commutes
-    with reduction mod 2**precision, since the latter divides the former);
-    Python ints otherwise.
-    """
-    if _int64_safe(p, precision, dim):
-        return np.int64
-    if p == 2 and precision <= 63:
-        return np.uint64
-    return object
+    """Array dtype for residues mod p**precision with `dim`-length dots:
+    int64 when every intermediate (a dot of at most `dim` products of two
+    residues) fits exactly, Python ints otherwise."""
+    q = p ** precision
+    return np.int64 if dim * (q - 1) * (q - 1) < 2 ** 62 else object
 
 
 class PadicMatrix:
     """Matrix of residues mod p**precision.
 
-    Entries live in [0, p**precision).  Backed by an int64 or wraparound
-    uint64 ndarray when the elimination's intermediates allow it, by an
-    object ndarray of Python ints otherwise.
+    Entries live in [0, p**precision).  Backed by an int64 ndarray when the
+    elimination's intermediates fit, by an object ndarray of Python ints
+    otherwise.
     """
 
     __slots__ = ("rows", "cols", "p", "precision", "data")
@@ -318,6 +304,28 @@ def rational_rank(m: IntMatrix) -> int:
         prev = a[t][t]
         rank += 1
     return rank
+
+
+def dets_vanish_mod(blocks: np.ndarray, prime: int) -> np.ndarray:
+    """For a (b, n, n) stack of integer matrices, whether each determinant
+    is 0 mod `prime`, by one batched elimination over GF(prime).
+
+    Rows are combined as piv * row_i - a_it * row_t, which scales a
+    determinant only by nonzero pivots, so no inverses are needed; with
+    prime < 2**31 every product fits int64."""
+    a = np.asarray(blocks, dtype=np.int64) % prime
+    b, n, _ = a.shape
+    vanish = np.zeros(b, dtype=bool)
+    idx = np.arange(b)
+    for t in range(n):
+        nonzero = a[:, t:, t] != 0
+        vanish |= ~nonzero.any(axis=1)
+        r = t + np.argmax(nonzero, axis=1)
+        a[idx, t], a[idx, r] = a[idx, r], a[idx, t].copy()
+        piv = a[:, t, t, None, None]
+        below = a[:, t + 1:, t, None]
+        a[:, t + 1:, t:] = (a[:, t + 1:, t:] * piv - below * a[:, None, t, t:]) % prime
+    return vanish
 
 
 def cokernel_partition(m: IntMatrix, p: int) -> CokernelPartition:

@@ -1,11 +1,19 @@
 """Monte Carlo harness.
 
-Runs ensemble trials, extracts cokernel types at the working p-adic
-precision (escalating on saturation), and aggregates empirical rescaled
-Hom-moments, moments of the centered rank vector, and the centered-vector
-histogram, with bootstrap percentile confidence intervals and theory targets
-attached.  Everything is a pure function of the spec and its master seed:
-identical reports regardless of worker count or trial order.
+Every statistic a report holds depends only on Gamma/p**D Gamma for
+Gamma = cok(M) and D = max(d, largest part of any requested group):
+Hom(Gamma, G) = Hom(Gamma/p**D Gamma, G) when p**D G = 0, and the ranks of
+p**(i-1) Gamma / p**i Gamma for i <= d only see Gamma/p**d Gamma.  So each
+trial draws once, reduces mod p**D and runs one elimination, which gives
+the type of Gamma/p**D Gamma = cok(M mod p**D), free summands showing as
+parts equal to D.  Only the exclusion of singular trials (det M = 0) from
+the rank statistics needs more, and an exact certificate settles it.
+
+Aggregation yields empirical rescaled Hom-moments, moments of the centered
+rank vector, and the centered-vector histogram, with bootstrap percentile
+confidence intervals and theory targets attached.  Everything is a pure
+function of the spec and its master seed: identical reports regardless of
+worker count or trial order.
 """
 
 from __future__ import annotations
@@ -20,35 +28,44 @@ from typing import Sequence
 import numpy as np
 
 from .exact_linalg import (
-    cokernel_partition,
+    IntMatrix,
+    dets_vanish_mod,
     padic_valuations,
     rational_rank,
     streaming_block_eliminate,
 )
 from .ensembles import (
     GENERATOR_ID,
-    PRECISION_CAP,
+    ConfigError,
     EnsembleSpec,
     build_bidiagonal_embedding,
-    build_bidiagonal_embedding_int,
-    factor_determinants,
+    determinant_blocks,
     product_factors,
-    product_factors_int,
     sample_block_matrix,
-    sample_block_matrix_int,
     sample_product,
-    sample_product_int,
 )
-from .pgroups import AbelianPGroup, as_partition, conjugate, hom_count, ell
-from .theory import FluctuationParams, L_moment, centering, limit_rescaled_hom_moment
+from .pgroups import AbelianPGroup, as_partition, hom_count, ell
+from .theory import (
+    FluctuationParams,
+    L_moment,
+    centered_rank_vector,
+    centering,
+    limit_rescaled_hom_moment,
+)
+
+# Unused here; benchmarks/child.py traces them by name in this module.
+from .exact_linalg import cokernel_partition  # noqa: F401
+from .ensembles import factor_determinants  # noqa: F401
 
 __all__ = [
     "TrialRecord",
     "MomentEstimate",
     "ExperimentReport",
     "ComparisonSummary",
-    "EXACT_FALLBACK_MAX",
+    "CERTIFICATE_PRIME",
     "WORKERS_ENV_VAR",
+    "working_depth",
+    "worker_budget",
     "run_trial",
     "run_experiment",
     "hom_moment_of_trial",
@@ -56,21 +73,19 @@ __all__ = [
     "total_variation",
 ]
 
-EXACT_FALLBACK_MAX = 64   # exact-integer resolution feasible below this size
-EXACT_IMMEDIATE_MAX = 8   # tiny matrices skip the precision ladder entirely
+CERTIFICATE_PRIME = 1_000_003  # below 2**31, so residue products fit int64
 WORKERS_ENV_VAR = "COKFLUCT_WORKERS"
 BOOTSTRAP_TAG = 0xB007
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one trial; a saturated record carries no partition claim
-    beyond `some valuation >= precision_used`."""
+    """Outcome of one trial: the type of Gamma/p**D Gamma (free summands
+    show as parts equal to D = precision_used) and whether det M = 0."""
 
     trial: int
-    partition: tuple[int, ...] | None
-    free_rank: int
-    saturated: bool
+    partition: tuple[int, ...]
+    singular: bool
     precision_used: int
 
 
@@ -90,9 +105,9 @@ class ExperimentReport:
     d: int
     zeta: float
     center: int
-    included_count: int        # free rank 0, not saturated
-    free_rank_count: int       # resolved with positive free rank
-    saturated_count: int       # unresolved at the precision cap
+    included_count: int        # nonsingular trials
+    free_rank_count: int       # singular trials (positive free rank)
+    saturated_count: int       # always 0; kept in the report schema
     hom_moments: dict[str, MomentEstimate] = field(default_factory=dict)
     l_moments: dict[str, MomentEstimate] = field(default_factory=dict)
     centered_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
@@ -166,113 +181,70 @@ def partition_label(lam: Sequence[int]) -> str:
 # Single trials
 # ---------------------------------------------------------------------------
 
-def _eliminate_once(spec: EnsembleSpec, trial: int, precision: int):
+def working_depth(d: int, G_list: Sequence[AbelianPGroup]) -> int:
+    """D = max(d, largest part of every requested group): the p-adic depth
+    that determines every reported statistic."""
+    return max([d] + [max(G.lam, default=0) for G in G_list])
+
+
+def _is_singular(spec: EnsembleSpec, trial: int) -> bool:
+    """det M = 0, exactly: det M is the product of the determinants of
+    determinant_blocks, and a block is checked by exact rational rank only
+    when its determinant vanishes mod CERTIFICATE_PRIME."""
+    blocks = determinant_blocks(spec, trial)
+    m = blocks.shape[1]
+    return any(
+        rational_rank(IntMatrix.from_rows(blocks[i].tolist())) < m
+        for i in np.flatnonzero(dets_vanish_mod(blocks, CERTIFICATE_PRIME))
+    )
+
+
+def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
+    """Draw the trial once mod p**depth and eliminate it once.
+
+    A position saturated at depth is a part >= depth or a free summand;
+    only then is singularity in question, and _is_singular settles it."""
     if spec.kind == "block_triangular":
-        m = sample_block_matrix(spec, trial, precision)
-        return streaming_block_eliminate(m, spec.block_sizes)
-    if spec.kind == "matrix_product":
-        return padic_valuations(sample_product(spec, trial, precision))
-    m = build_bidiagonal_embedding(product_factors(spec, trial, precision))
-    return streaming_block_eliminate(m, (spec.n,) * spec.k)
-
-
-def _exact_int_matrix(spec: EnsembleSpec, trial: int):
-    if spec.kind == "block_triangular":
-        return sample_block_matrix_int(spec, trial)
-    if spec.kind == "matrix_product":
-        return sample_product_int(spec, trial)
-    return build_bidiagonal_embedding_int(product_factors_int(spec, trial))
-
-
-def _value_of(det: int, p: int) -> int:
-    v = 0
-    while det % p == 0:
-        det //= p
-        v += 1
-    return v
-
-
-def _resolve_product_at_cap(spec: EnsembleSpec, trial: int, dv, precision: int) -> TrialRecord:
-    """Resolve a product trial that stayed saturated at the precision cap,
-    using the factor structure.
-
-    When every factor determinant is nonzero, the total divisor valuation is
-    the (exact, cheap) sum of the factor det valuations, so one elimination
-    just above it cannot saturate.  When some factor is singular, the trial
-    has free rank; if the rank certified from the residue data (matrix rank
-    is at least the number of resolved pivots) meets the exact upper bound
-    min_j rank(A_j), the saturated positions are exactly the free rank and
-    the resolved valuations are the full torsion type."""
-    dets = factor_determinants(spec, trial)
-    n = spec.n
-    if all(dets):
-        target = sum(_value_of(d, spec.p) for d in dets) + 1
-        if target > precision:
-            dv = _eliminate_once(spec, trial, target)
-            precision = target
-        if dv.saturated_count == 0:
-            return TrialRecord(trial, dv.partition(), 0, False, precision)
-        raise AssertionError("nonsingular product saturated above its det valuation")
-    rank_upper = min(rational_rank(f) for f in product_factors_int(spec, trial))
-    # embedding divisors are the product's plus n(k-1) units, so the product
-    # rank certified by the residue data is n - saturated for both kinds
-    rank_lower = n - dv.saturated_count
-    if rank_lower == rank_upper:
-        return TrialRecord(trial, dv.partition(), n - rank_upper, False, precision)
-    if spec.size <= EXACT_FALLBACK_MAX:
-        part, free = cokernel_partition(_exact_int_matrix(spec, trial), spec.p)
-        return TrialRecord(trial, part, free, False, precision)
-    return TrialRecord(trial, None, 0, True, precision)
-
-
-def run_trial(spec: EnsembleSpec, trial: int) -> TrialRecord:
-    """Sample, eliminate, and on saturation regenerate the trial from its
-    seed at doubled precision up to the cap.
-
-    Product-kind trials still saturated at the cap are resolved through
-    their factor determinants (see _resolve_product_at_cap).  Other matrices
-    at exact desk scale (assembled size <= EXACT_FALLBACK_MAX) fall back to
-    exact integer SNF, which is the only way to tell a genuinely singular
-    matrix (positive free rank) from one with merely huge divisor
-    valuations; tiny ones skip the ladder outright, where exact SNF is
-    cheaper than a single recompute.  A trial that exhausts every route is
-    recorded as saturated, never dropped."""
-    exact_ok = spec.size <= EXACT_FALLBACK_MAX
-    skip_ladder = spec.size <= EXACT_IMMEDIATE_MAX
-    precision = spec.working_precision()
-    while True:
-        dv = _eliminate_once(spec, trial, precision)
-        if dv.saturated_count == 0:
-            return TrialRecord(trial, dv.partition(), 0, False, precision)
-        at_cap = 2 * precision > PRECISION_CAP
-        if exact_ok and skip_ladder:
-            part, free = cokernel_partition(_exact_int_matrix(spec, trial), spec.p)
-            return TrialRecord(trial, part, free, False, precision)
-        if at_cap:
-            if spec.kind in ("matrix_product", "bidiagonal_embedding"):
-                return _resolve_product_at_cap(spec, trial, dv, precision)
-            if exact_ok:
-                part, free = cokernel_partition(_exact_int_matrix(spec, trial), spec.p)
-                return TrialRecord(trial, part, free, False, precision)
-            return TrialRecord(trial, None, 0, True, precision)
-        precision *= 2
+        m = sample_block_matrix(spec, trial, depth)
+        dv = streaming_block_eliminate(m, spec.block_sizes)
+    elif spec.kind == "matrix_product":
+        dv = padic_valuations(sample_product(spec, trial, depth))
+    else:
+        m = build_bidiagonal_embedding(product_factors(spec, trial, depth))
+        dv = streaming_block_eliminate(m, (spec.n,) * spec.k)
+    partition = (depth,) * dv.saturated_count + dv.partition()
+    singular = dv.saturated_count > 0 and _is_singular(spec, trial)
+    return TrialRecord(trial, partition, singular, depth)
 
 
 def _trial_batch(args) -> list[TrialRecord]:
-    spec, trials = args
-    return [run_trial(spec, t) for t in trials]
+    spec, trials, depth = args
+    return [run_trial(spec, t, depth) for t in trials]
 
 
-def _collect_records(spec: EnsembleSpec, trials: int, workers: int) -> list[TrialRecord]:
+def worker_budget(workers: int) -> int:
+    """`workers` capped by the COKFLUCT_WORKERS environment variable, which
+    must be a positive integer when set."""
     env_cap = os.environ.get(WORKERS_ENV_VAR)
-    if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
+    if not env_cap:
+        return workers
+    try:
+        cap = int(env_cap)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env_cap!r}")
+    return min(workers, cap)
+
+
+def _collect_records(spec: EnsembleSpec, trials: int, depth: int, workers: int) -> list[TrialRecord]:
+    workers = worker_budget(workers)
     indices = list(range(trials))
     if workers <= 1 or trials < 2:
-        records = [run_trial(spec, t) for t in indices]
+        records = [run_trial(spec, t, depth) for t in indices]
     else:
         chunk = max(1, trials // (workers * 8))
-        batches = [(spec, indices[i:i + chunk]) for i in range(0, trials, chunk)]
+        batches = [(spec, indices[i:i + chunk], depth) for i in range(0, trials, chunk)]
         records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for out in pool.map(_trial_batch, batches):
@@ -319,9 +291,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run `trials` trials of the ensemble and aggregate.
 
-    Per group G: the mean of |Hom(cok, G)| / k**ell(G) over resolved trials
-    (free-rank trials enter through |G|**free_rank).  Per lambda: the mean of
-    p**<centered rank vector, lambda> over finite-cokernel trials.  Bootstrap
+    Per group G: the mean of |Hom(cok, G)| / k**ell(G) over all trials
+    (a free summand counts |G|, as Z/p**D does).  Per lambda: the mean of
+    p**<centered rank vector, lambda> over nonsingular trials.  Bootstrap
     percentile CIs (values resampled in trial order, seeded from the master
     seed) keep the report a pure function of the configuration.
     """
@@ -334,11 +306,8 @@ def run_experiment(
         if len(lam) > d:
             raise ValueError(f"lambda {lam} has more than d={d} parts")
 
-    records = _collect_records(spec, trials, workers)
-    resolved = [r for r in records if not r.saturated]
-    finite = [r for r in resolved if r.free_rank == 0]
-    saturated_count = len(records) - len(resolved)
-    free_rank_count = len(resolved) - len(finite)
+    records = _collect_records(spec, trials, working_depth(d, G_list), workers)
+    finite = [r for r in records if not r.singular]
     center = centering(spec.k, params)
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.master_seed, BOOTSTRAP_TAG]))
@@ -346,7 +315,7 @@ def run_experiment(
     hom_moments: dict[str, MomentEstimate] = {}
     for G in G_list:
         scale = spec.k ** ell(G)
-        raw = [hom_moment_of_trial(r.partition, r.free_rank, G) for r in resolved]
+        raw = [hom_moment_of_trial(r.partition, 0, G) for r in records]
         target = limit_rescaled_hom_moment(G)
         if raw:
             mean = float(Fraction(sum(raw), len(raw) * scale))
@@ -356,10 +325,7 @@ def run_experiment(
             mean, (lo, hi) = float("nan"), (float("nan"), float("nan"))
         hom_moments[G.label()] = MomentEstimate(mean, lo, hi, float(target), len(raw))
 
-    vectors = []
-    for r in finite:
-        conj = conjugate(r.partition)
-        vectors.append(tuple((conj[i] if i < len(conj) else 0) - center for i in range(d)))
+    vectors = [centered_rank_vector(r.partition, 0, spec.k, params) for r in finite]
 
     l_moments: dict[str, MomentEstimate] = {}
     for lam in lam_list:
@@ -383,8 +349,8 @@ def run_experiment(
         zeta=zeta,
         center=center,
         included_count=len(finite),
-        free_rank_count=free_rank_count,
-        saturated_count=saturated_count,
+        free_rank_count=len(records) - len(finite),
+        saturated_count=0,
         hom_moments=hom_moments,
         l_moments=l_moments,
         centered_counts=dict(Counter(vectors)),

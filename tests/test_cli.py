@@ -100,6 +100,27 @@ class TestSimulate:
         res = CliRunner().invoke(main, ["simulate"])
         assert res.exit_code == 2
 
+    def test_malformed_workers_env_exits_2(self, tmp_path):
+        res = CliRunner().invoke(
+            main, ["simulate", "--config", str(make_config(tmp_path))],
+            env={"COKFLUCT_WORKERS": "abc"},
+        )
+        assert res.exit_code == 2
+        assert "config error:" in res.output and "COKFLUCT_WORKERS" in res.output
+
+    def test_negative_trials_exits_2(self, tmp_path):
+        res = CliRunner().invoke(main, ["simulate", "--config", str(make_config(tmp_path, trials=-5))])
+        assert res.exit_code == 2
+        assert "config error:" in res.output
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_workers_exits_2(self, tmp_path):
+        res = CliRunner().invoke(
+            main, ["simulate", "--config", str(make_config(tmp_path)), "--workers", "0"]
+        )
+        assert res.exit_code == 2
+        assert "config error:" in res.output
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["identity", "balanced", "chains", "decomposition"])

@@ -8,7 +8,6 @@ from cokfluct import (
     ConfigError,
     EnsembleSpec,
     EntryDistribution,
-    KSchedule,
     build_bidiagonal_embedding,
     build_bidiagonal_embedding_int,
     cokernel_partition,
@@ -237,8 +236,8 @@ class TestProductSampler:
 
     @pytest.mark.parametrize("precision", [16, 32, 63, 128])
     def test_grouped_fold_equals_naive_fold(self, precision):
-        # long products force several exact-int64 groups; the result must
-        # equal the naive fully reduced left fold at every precision tier
+        # the modular fold must equal the naive fully reduced left fold over
+        # Python ints at every precision, on int64 and object residues alike
         from cokfluct.ensembles import _draw_factor_entries
         spec = self.prod_spec(k=12, n=4, A_dist=EntryDistribution.uniform_range(-100, 100))
         q = 2 ** precision
@@ -249,6 +248,22 @@ class TestProductSampler:
                 naive = g if naive is None else np.dot(naive, g) % q
             got = np.asarray(sample_product(spec, trial, precision).data, dtype=object)
             assert (got == naive).all()
+
+    def test_determinant_blocks_multiply_to_det(self):
+        from cokfluct.ensembles import determinant_blocks
+        from helpers import det_cofactor
+        for spec in (
+            block_spec(k=3, block_sizes=(1, 3, 2), B_dist=EntryDistribution.uniform_range(-9, 9)),
+            self.prod_spec(k=3, n=3),
+        ):
+            for trial in range(3):
+                blocks = determinant_blocks(spec, trial)
+                dets = [det_cofactor(b.tolist()) for b in blocks]
+                if spec.kind == "block_triangular":
+                    whole = sample_block_matrix_int(spec, trial)
+                else:
+                    whole = sample_product_int(spec, trial)
+                assert math.prod(dets) == det_cofactor(whole.to_rows())
 
     def test_factor_determinants_exact(self):
         from cokfluct.ensembles import factor_determinants
@@ -303,28 +318,6 @@ class TestBidiagonalEmbedding:
             build_bidiagonal_embedding_int(
                 [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1, 0], [0, 1]])]
             )
-
-
-class TestKSchedule:
-    def test_power_of_p_at_zeta_zero(self):
-        sched = KSchedule(2, 0.0, tuple(range(1, 13)))
-        assert sched.k_values() == [max(2, 2 ** m) for m in range(1, 13)]
-
-    def test_clamped_to_two(self):
-        sched = KSchedule(2, 0.9, (0,))
-        assert sched.k_values() == [2]
-
-    @pytest.mark.parametrize("p,zeta", [(2, 0.0), (2, 0.5), (3, 0.25)])
-    def test_fractional_parts_converge(self, p, zeta):
-        m_range = tuple(range(4, 14))
-        sched = KSchedule(p, zeta, m_range)
-        for m, frac in zip(m_range, sched.fractional_parts()):
-            gap = min(abs(frac - zeta), 1 - abs(frac - zeta))  # circle distance
-            assert gap <= 2 * p ** (-m)
-
-    def test_zeta_range_validated(self):
-        with pytest.raises(ConfigError):
-            KSchedule(2, 1.0, (1, 2))
 
 
 class TestSeeding:

@@ -14,7 +14,7 @@ from cokfluct import (
     snf_diagonal,
     streaming_block_eliminate,
 )
-from cokfluct.exact_linalg import det_bareiss, rational_rank
+from cokfluct.exact_linalg import det_bareiss, dets_vanish_mod, rational_rank
 from helpers import (
     det_cofactor,
     random_elementary_ops,
@@ -96,6 +96,22 @@ class TestBareissHelpers:
         assert det_bareiss(m) == 0
 
 
+class TestDetsVanishMod:
+    @pytest.mark.parametrize("prime", [2, 3, 7, 1_000_003])
+    def test_matches_cofactor_det(self, prime):
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4):
+            mats = [random_int_matrix(rng, n).to_rows() for _ in range(40)]
+            mats.append([[0] * n for _ in range(n)])
+            got = dets_vanish_mod(np.array(mats, dtype=np.int64), prime)
+            assert got.tolist() == [det_cofactor(m) % prime == 0 for m in mats]
+
+    def test_large_entries_reduced_first(self):
+        # det = 1_000_003 * 5, entries far beyond the prime
+        m = np.array([[[1_000_003, 7 * 10 ** 12], [0, 5]], [[1, 2], [3, 4]]])
+        assert dets_vanish_mod(m, 1_000_003).tolist() == [True, False]
+
+
 class TestCokernelPartition:
     def test_diagonal_examples(self):
         m = IntMatrix.from_rows([[2, 0], [0, 8]])
@@ -126,7 +142,7 @@ class TestPadicValuations:
         assert padic_valuations(m) == DivisorValuations((1,), 1)
 
     def test_random_5x5_mod_2_32_matches_exact(self):
-        # beyond the int64-safe window: exercises the uint64 wraparound path
+        # beyond the int64-safe window: exercises the Python-int residue path
         rng = random.Random(4)
         done = 0
         while done < 10:
@@ -153,16 +169,16 @@ class TestPadicValuations:
                     assert dv.partition() == part
 
     def test_arithmetic_backends_agree(self):
-        # int64 (N=16, p=2), uint64 wraparound (N=40, p=2), and object
-        # (any N at p=3, and N=128 at p=2) must produce identical data
+        # int64 (N=16, p=2) and object (N=40 and N=128 at p=2, N=50 at
+        # p=3) must produce identical data
         rng = random.Random(6)
         for _ in range(10):
             m = random_int_matrix(rng, 4)
             small = padic_valuations(reduce_matrix(m, 2, 16))    # int64
-            wrap = padic_valuations(reduce_matrix(m, 2, 40))     # uint64
+            wrap = padic_valuations(reduce_matrix(m, 2, 40))     # object
             wide = padic_valuations(reduce_matrix(m, 2, 128))    # object
             assert reduce_matrix(m, 2, 16).data.dtype == np.int64
-            assert reduce_matrix(m, 2, 40).data.dtype == np.uint64
+            assert reduce_matrix(m, 2, 40).data.dtype == object
             assert reduce_matrix(m, 2, 128).data.dtype == object
             if small.saturated_count == 0:
                 assert small.valuations == wrap.valuations == wide.valuations

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cokfluct import (
     AbelianPGroup,
@@ -9,16 +10,44 @@ from cokfluct import (
     EntryDistribution,
     ExperimentReport,
     FiniteSupportMatrixLaw,
+    build_bidiagonal_embedding_int,
+    cokernel_partition,
     compare_ensembles,
     hom_moment_of_trial,
+    product_factors_int,
     run_experiment,
     run_trial,
+    sample_block_matrix_int,
+    sample_product_int,
     total_variation,
     verify_moment_identity,
 )
+from cokfluct.exact_linalg import rational_rank
+from cokfluct.experiments import working_depth
 
 Z2 = AbelianPGroup(2, (1,))
 Z4 = AbelianPGroup(2, (2,))
+
+
+def truncated_type(part, free, depth):
+    """Type of Gamma/p**depth Gamma from the exact type of Gamma."""
+    return tuple(sorted([depth] * free + [min(x, depth) for x in part], reverse=True))
+
+
+def exact_int_matrix(spec, trial):
+    if spec.kind == "block_triangular":
+        return sample_block_matrix_int(spec, trial)
+    if spec.kind == "matrix_product":
+        return sample_product_int(spec, trial)
+    return build_bidiagonal_embedding_int(product_factors_int(spec, trial))
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def toy_spec(**kw):
@@ -43,26 +72,62 @@ class TestHomMomentOfTrial:
 class TestRunTrial:
     def test_deterministic(self):
         spec = toy_spec()
-        assert run_trial(spec, 5) == run_trial(spec, 5)
+        assert run_trial(spec, 5, 3) == run_trial(spec, 5, 3)
 
     def test_zero_matrix_resolved_exactly(self):
-        # with uniform mod 2 entries, some trial draws the 1x1 zero matrix
+        # with uniform mod 2 entries, some trial draws the 1x1 zero matrix,
+        # whose cokernel Z shows as Z/2**3 at depth 3
         spec = toy_spec()
-        free = [run_trial(spec, t) for t in range(20) if run_trial(spec, t).free_rank]
+        free = [run_trial(spec, t, 3) for t in range(20) if run_trial(spec, t, 3).singular]
         assert free, "expected at least one singular draw"
         rec = free[0]
-        assert rec.partition == () and rec.free_rank == 1 and not rec.saturated
+        assert rec.partition == (3,) and rec.precision_used == 3
 
     def test_block_trial(self):
+        # exact SNF truncated at the working depth, and in full at a depth
+        # above every divisor valuation
         spec = EnsembleSpec(
             p=2, kind="block_triangular", k=3, block_sizes=(4, 4, 4),
             A_dist=EntryDistribution.uniform_range(-10, 10),
             B_dist=EntryDistribution.uniform_range(-100, 100),
             master_seed=1,
         )
-        rec = run_trial(spec, 0)
-        assert not rec.saturated
-        assert rec.precision_used >= 16
+        part, free = cokernel_partition(sample_block_matrix_int(spec, 0), 2)
+        assert free == 0 and part
+        for depth in (1, 3, 64):
+            rec = run_trial(spec, 0, depth)
+            assert rec.precision_used == depth
+            assert not rec.singular
+            assert rec.partition == truncated_type(part, free, depth)
+        assert run_trial(spec, 0, 64).partition == part
+
+
+class TestRunTrialDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        kind=st.sampled_from(["block_triangular", "matrix_product", "bidiagonal_embedding"]),
+        k=st.integers(1, 3),
+        sizes=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        uniform_mod=st.booleans(),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 32),
+        trial=st.integers(0, 50),
+    )
+    def test_matches_exact_snf_truncated_at_depth(
+        self, p, kind, k, sizes, uniform_mod, depth, seed, trial
+    ):
+        dist = EntryDistribution.uniform_mod(p) if uniform_mod else EntryDistribution.uniform_range(-3, 3)
+        shape = (
+            dict(block_sizes=tuple(sizes[:k]), B_dist=EntryDistribution.uniform_range(-9, 9))
+            if kind == "block_triangular" else dict(n=sizes[0])
+        )
+        spec = EnsembleSpec(p=p, kind=kind, k=k, A_dist=dist, master_seed=seed, **shape)
+        part, free = cokernel_partition(exact_int_matrix(spec, trial), p)
+        rec = run_trial(spec, trial, depth)
+        assert rec.partition == truncated_type(part, free, depth)
+        assert rec.singular == (free > 0)
+        assert rec.precision_used == depth
 
 
 class TestRunExperiment:
@@ -145,29 +210,51 @@ class TestRunExperiment:
 
     def test_singular_product_resolved_by_rank_certificate(self):
         # n=10 products of many uniform mod-2 factors hit exactly singular
-        # factors often; the record must come back free_rank > 0, never
-        # saturated, and agree with the exact SNF route
+        # factors often; `singular` must match the exact factor ranks, and at
+        # a depth above every torsion valuation the record must be the exact
+        # SNF type, free summands showing as parts equal to the depth
         spec = toy_spec(k=40, n=10, master_seed=606)
-        from cokfluct import cokernel_partition, sample_product_int
+        depth = 256
         singular = []
         for trial in range(60):
-            rec = run_trial(spec, trial)
-            assert not rec.saturated
-            if rec.free_rank:
+            rec = run_trial(spec, trial, depth)
+            ranks = [rational_rank(f) for f in product_factors_int(spec, trial)]
+            assert rec.singular == (min(ranks) < spec.n)
+            if rec.singular:
                 singular.append(rec)
                 if len(singular) <= 2:  # exact SNF on the product is slow
                     part, free = cokernel_partition(sample_product_int(spec, trial), 2)
-                    assert (rec.partition, rec.free_rank) == (part, free)
+                    assert free > 0
+                    assert rec.partition == (depth,) * free + part
         assert singular, "expected singular trials in this configuration"
 
     def test_nonsingular_product_jump_above_det_valuation(self):
-        # total divisor valuation above the default ladder cap is reached
-        # through the factor-determinant shortcut, not marked saturated
-        spec = toy_spec(k=40, n=10, master_seed=607)
-        recs = [run_trial(spec, t) for t in range(40)]
-        assert all(not r.saturated for r in recs)
-        deep = [r for r in recs if r.partition and r.partition[0] > 16]
+        # divisor valuations far above the working depth saturate the
+        # elimination at depth 3; the certificate must still call the trial
+        # nonsingular, and its type must be the full type (read at depth 256,
+        # where the parts sum to the exact det valuation) truncated at 3
+        from cokfluct.ensembles import factor_determinants
+        spec = toy_spec(
+            k=40, n=10, A_dist=EntryDistribution.uniform_range(-3, 3), master_seed=607
+        )
+        deep = []
+        for t in range(40):
+            dets = factor_determinants(spec, t)
+            full = run_trial(spec, t, 256)
+            rec = run_trial(spec, t, 3)
+            assert rec.singular == full.singular == (0 in dets)
+            if rec.singular:
+                continue
+            assert sum(full.partition) == sum(_valuation(x, 2) for x in dets)
+            assert rec.partition == truncated_type(full.partition, 0, 3)
+            if full.partition[0] > 16:
+                deep.append(rec)
         assert deep, "expected divisor valuations beyond the default precision"
+
+    def test_working_depth(self):
+        assert working_depth(3, []) == 3
+        assert working_depth(1, [Z2, Z4, AbelianPGroup(2, ())]) == 2
+        assert working_depth(2, [AbelianPGroup(2, (5, 1))]) == 5
 
     def test_bidiagonal_embedding_kind_matches_product_kind(self):
         base = dict(
