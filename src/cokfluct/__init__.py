@@ -5,7 +5,6 @@ from .exact_linalg import (
     BlockStructureError,
     CokernelPartition,
     DivisorValuations,
-    IntMatrix,
     PadicMatrix,
     cokernel_partition,
     padic_valuations,
@@ -18,14 +17,11 @@ from .ensembles import (
     EnsembleSpec,
     EntryDistribution,
     build_bidiagonal_embedding,
-    build_bidiagonal_embedding_int,
     default_precision,
+    draw_integers,
     product_factors,
-    product_factors_int,
     sample_block_matrix,
-    sample_block_matrix_int,
     sample_product,
-    sample_product_int,
 )
 from .experiments import (
     ComparisonSummary,

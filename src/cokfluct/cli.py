@@ -11,29 +11,23 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import click
 
 from .ensembles import ConfigError, EnsembleSpec
-from .exact_linalg import IntMatrix
-from .experiments import ExperimentReport, compare_ensembles, run_experiment, worker_budget
-from .oracles import (
-    FiniteSupportMatrixLaw,
-    verify_balanced_sums,
-    verify_chain_claim,
-    verify_cok_identity,
-    verify_moment_identity,
-    verify_w0_decomposition,
-    w0_chain_counts,
+from .experiments import (
+    ExperimentReport,
+    compare_ensembles,
+    run_experiment,
+    validate_run,
+    worker_budget,
 )
-from .pgroups import AbelianPGroup, as_partition, chain_count, ell, enumerate_subgroups
+from .oracles import SUITES
+from .pgroups import AbelianPGroup, as_partition, chain_count, ell
 from .theory import FluctuationParams, L_moment, limit_rescaled_hom_moment
 
 SCHEMA_VERSION = 1
@@ -59,6 +53,12 @@ class RunConfig:
             raise ConfigError(f"trials must be >= 0, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.ensemble.precision is not None:
+            raise ConfigError(
+                "ensemble.precision must be null: simulate works mod p**D, "
+                "D = max(d, largest part of any group)"
+            )
+        validate_run(self.ensemble.p, self.groups, self.lambdas, self.d, self.zeta)
 
     def to_dict(self) -> dict:
         return {
@@ -195,161 +195,6 @@ def simulate(config_path, trials, seed, out_dir, workers, reproducible):
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)
     click.echo(f"report written to {config.output_dir}")
-
-
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-def _suite_identity() -> list[tuple[str, bool, str]]:
-    checks = []
-    laws = {
-        "uniform01": [(0, Fraction(1, 2)), (1, Fraction(1, 2))],
-        "uniform012": [(0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))],
-        "skewed": [(0, Fraction(1, 2)), (1, Fraction(1, 3)), (3, Fraction(1, 6))],
-    }
-    groups = [
-        AbelianPGroup(2, (1,)),
-        AbelianPGroup(3, (1,)),
-        AbelianPGroup(2, (1, 1)),
-        AbelianPGroup(2, (2,)),
-    ]
-    for name, support in laws.items():
-        for n in (1, 2):
-            law = FiniteSupportMatrixLaw(n, n, tuple(support))
-            for G in groups:
-                res = verify_moment_identity(law, G)
-                checks.append(
-                    (
-                        f"Hom-moment identity, {name}, n={n}, G={G.label()}",
-                        res.equal,
-                        f"lhs={res.lhs} rhs={res.rhs}",
-                    )
-                )
-    return checks
-
-
-def _suite_balanced() -> list[tuple[str, bool, str]]:
-    checks = []
-    G0 = AbelianPGroup(2, (1,))
-    u01 = [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
-    res = verify_balanced_sums(FiniteSupportMatrixLaw(8, 8, tuple(u01)), G0)
-    expected = 1 - Fraction(1, 256)
-    checks.append(
-        (
-            "generated-vector sum, uniform mod 2, n=8",
-            res.s_min == expected and res.s_max == expected,
-            f"s_min={res.s_min} s_max={res.s_max} expected={expected}",
-        )
-    )
-    bern = [(0, Fraction(7, 10)), (1, Fraction(3, 10))]
-    # |S_max - 1| peaks at n=5 for this law and decays strictly afterwards,
-    # so the monotone stretch of the grid starts at 6; |S_min - 1| is
-    # monotone from the start.
-    max_gaps = []
-    min_gaps = []
-    for n in (4, 6, 8, 10):
-        r = verify_balanced_sums(FiniteSupportMatrixLaw(n, n, tuple(bern)), G0)
-        max_gaps.append(abs(r.s_max - 1))
-        min_gaps.append(abs(r.s_min - 1))
-    checks.append(
-        (
-            "generated-vector max-sum gap decreasing, Bernoulli(3/10), n in {6,8,10}",
-            max_gaps[1] > max_gaps[2] > max_gaps[3],
-            f"gaps={[float(x) for x in max_gaps[1:]]}",
-        )
-    )
-    checks.append(
-        (
-            "generated-vector min-sum gap decreasing, Bernoulli(3/10), n in {4,6,8,10}",
-            min_gaps[0] > min_gaps[1] > min_gaps[2] > min_gaps[3],
-            f"gaps={[float(x) for x in min_gaps]}",
-        )
-    )
-    return checks
-
-
-def _suite_cok(instances: int = 100, seed: int = 20260810) -> list[tuple[str, bool, str]]:
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(instances):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, 4)
-        factors = [
-            IntMatrix.from_rows(
-                [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            )
-            for _ in range(k)
-        ]
-        if not verify_cok_identity(factors):
-            failures += 1
-    return [
-        (
-            f"embedding/product cokernel identity, {instances} random instances",
-            failures == 0,
-            f"failures={failures}",
-        )
-    ]
-
-
-def _suite_chains(samples: int = 10 ** 4, seed: int = 7) -> list[tuple[str, bool, str]]:
-    G = AbelianPGroup(2, (2, 1))
-    lat = enumerate_subgroups(G)
-    sets = lat.as_sets()
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(samples):
-        seq = [sets[rng.randrange(len(sets))] for _ in range(10)]
-        if not verify_chain_claim(G, seq):
-            violations += 1
-    return [
-        (
-            f"chain growth inequality, {samples} random sequences over Sg(Z/4+Z/2)",
-            violations == 0,
-            f"violations={violations}",
-        )
-    ]
-
-
-def _suite_decomposition() -> list[tuple[str, bool, str]]:
-    checks = []
-    ok = True
-    detail = []
-    for G in (AbelianPGroup(2, (1,)), AbelianPGroup(2, (2,)), AbelianPGroup(2, (1, 1))):
-        for k in range(1, 7):
-            counts = w0_chain_counts(G, k)
-            for i in range(ell(G) + 1):
-                expected = chain_count(G, i) * math.comb(k, i)
-                got = counts.get(i, 0)
-                if got != expected:
-                    ok = False
-                    detail.append(f"G={G.label()} k={k} i={i}: {got} != {expected}")
-    checks.append(
-        (
-            "multichain count = c(G,i) * C(k,i), |G| <= 4, k <= 6",
-            ok,
-            "; ".join(detail) or "all equal",
-        )
-    )
-    law = FiniteSupportMatrixLaw(1, 1, ((0, Fraction(1, 2)), (1, Fraction(1, 2))))
-    res = verify_w0_decomposition(law, AbelianPGroup(2, (1,)), i=1, k=2, block_sizes=(1, 1))
-    checks.append(
-        (
-            "w=0 probability decomposition recorded (no threshold)",
-            res.vector_count == 2,
-            f"sum={res.total} target={res.target} vectors={res.vector_count}",
-        )
-    )
-    return checks
-
-
-SUITES = {
-    "identity": _suite_identity,
-    "balanced": _suite_balanced,
-    "cok": _suite_cok,
-    "chains": _suite_chains,
-    "decomposition": _suite_decomposition,
-}
 
 
 @main.command()

@@ -6,20 +6,23 @@ of a product, and a counter-style deterministic seeding contract:
 
     rng(trial) = numpy PCG64 seeded with SeedSequence([master_seed, trial])
 
-Every sampler draws plain integers first and reduces mod p**N afterwards, so
-a trial is the same integer matrix at every precision, and
-`determinant_blocks` redraws the exact integer blocks of that same trial.
+`draw_integers` is the one draw of a trial: the assembled int64 matrix of a
+block trial, or the (k, n, n) int64 factor stack of a product or embedding
+trial.  The samplers reduce that draw mod p**N with `reduce_matrix`, so a
+trial is the same integer matrix at every precision.  Exact callers convert
+the same draw instead, e.g. the exact product
+`functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .exact_linalg import IntMatrix, PadicMatrix, residue_dtype
+from .exact_linalg import PadicMatrix, det_bareiss, reduce_matrix
 
 __all__ = [
     "ConfigError",
@@ -28,15 +31,13 @@ __all__ = [
     "GENERATOR_ID",
     "default_precision",
     "trial_rng",
+    "draw_integers",
     "sample_block_matrix",
-    "sample_block_matrix_int",
     "sample_product",
-    "sample_product_int",
     "product_factors",
-    "product_factors_int",
+    "factor_determinants",
     "determinant_blocks",
     "build_bidiagonal_embedding",
-    "build_bidiagonal_embedding_int",
 ]
 
 GENERATOR_ID = "numpy-PCG64(SeedSequence([master_seed, trial]))"
@@ -309,16 +310,23 @@ class EnsembleSpec:
 
 
 # ---------------------------------------------------------------------------
-# Block lower triangular ensemble
+# Draws and samplers
 # ---------------------------------------------------------------------------
 
-def _draw_block_entries(spec: EnsembleSpec, trial: int) -> np.ndarray:
-    """Integer matrix of the A+B ensemble, before any reduction.
+def draw_integers(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """The integer draw of one trial, before any reduction: the assembled
+    n x n int64 matrix of a block_triangular trial, the (k, n, n) int64
+    factor stack otherwise.
 
-    Draw order is fixed (all A blocks, then all B blocks) so the matrix is a
-    pure function of (master_seed, trial) independent of the precision.
+    Draw order is fixed (block trials: all A diagonal blocks, then all A
+    subdiagonal blocks, then all B blocks; factor trials: one factor after
+    another), so the draw is a pure function of (master_seed, trial).
     """
+    if trial < 0:
+        raise ValueError("trial must be >= 0")
     rng = trial_rng(spec.master_seed, trial)
+    if spec.kind != "block_triangular":
+        return np.stack([spec.A_dist.sample(rng, (spec.n, spec.n)) for _ in range(spec.k)])
     sizes = spec.block_sizes
     k = spec.k
     offs = [0]
@@ -340,41 +348,8 @@ def sample_block_matrix(spec: EnsembleSpec, trial: int, precision: int | None = 
     """One trial of the A+B block ensemble, assembled and reduced mod p**N."""
     if spec.kind != "block_triangular":
         raise ConfigError("sample_block_matrix needs a block_triangular spec")
-    if trial < 0:
-        raise ValueError("trial must be >= 0")
     N = precision if precision is not None else spec.working_precision()
-    full = _draw_block_entries(spec, trial)
-    return _reduce_int64(full, spec.p, N)
-
-
-def sample_block_matrix_int(spec: EnsembleSpec, trial: int) -> IntMatrix:
-    """The same trial as sample_block_matrix, kept as exact integers."""
-    if spec.kind != "block_triangular":
-        raise ConfigError("sample_block_matrix_int needs a block_triangular spec")
-    return IntMatrix.from_rows(_draw_block_entries(spec, trial).tolist())
-
-
-def _reduce_entries(full: np.ndarray, p: int, precision: int) -> np.ndarray:
-    q = p ** precision
-    if q <= 2 ** 62:
-        red = full % q
-    else:
-        red = full.astype(object) % q
-    dtype = residue_dtype(p, precision, max(full.shape))
-    return red.astype(dtype) if red.dtype != dtype else red
-
-
-def _reduce_int64(full: np.ndarray, p: int, precision: int) -> PadicMatrix:
-    return PadicMatrix(_reduce_entries(full, p, precision), p, precision)
-
-
-# ---------------------------------------------------------------------------
-# Matrix products and the bidiagonal embedding
-# ---------------------------------------------------------------------------
-
-def _draw_factor_entries(spec: EnsembleSpec, trial: int) -> list[np.ndarray]:
-    rng = trial_rng(spec.master_seed, trial)
-    return [spec.A_dist.sample(rng, (spec.n, spec.n)) for _ in range(spec.k)]
+    return reduce_matrix(draw_integers(spec, trial), spec.p, N)
 
 
 def _require_factor_kind(spec: EnsembleSpec, op: str):
@@ -386,12 +361,19 @@ def product_factors(spec: EnsembleSpec, trial: int, precision: int | None = None
     """The k iid factor matrices of a product trial, reduced mod p**N."""
     _require_factor_kind(spec, "product_factors")
     N = precision if precision is not None else spec.working_precision()
-    return [_reduce_int64(f, spec.p, N) for f in _draw_factor_entries(spec, trial)]
+    return [reduce_matrix(f, spec.p, N) for f in draw_integers(spec, trial)]
 
 
-def product_factors_int(spec: EnsembleSpec, trial: int) -> list[IntMatrix]:
-    _require_factor_kind(spec, "product_factors_int")
-    return [IntMatrix.from_rows(f.tolist()) for f in _draw_factor_entries(spec, trial)]
+def sample_product(spec: EnsembleSpec, trial: int, precision: int | None = None) -> PadicMatrix:
+    """A_1 A_2 ... A_k reduced mod p**N, folded left to right."""
+    _require_factor_kind(spec, "sample_product")
+    N = precision if precision is not None else spec.working_precision()
+    q = spec.p ** N
+    ints = draw_integers(spec, trial)
+    # One reduction of the factors stacked as a kn x n matrix; its residue
+    # dtype is safe for dots of length kn, so for the fold's dots of length n.
+    stacked = reduce_matrix(ints.reshape(-1, spec.n), spec.p, N).data.reshape(ints.shape)
+    return PadicMatrix(functools.reduce(lambda a, b: np.dot(a, b) % q, stacked), spec.p, N)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:
@@ -399,9 +381,8 @@ def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:
 
     det(A_1 ... A_k) is their product, so these certify the total divisor
     valuation (or the singularity) of the product without ever forming it."""
-    from .exact_linalg import det_bareiss
-
-    return [det_bareiss(f) for f in product_factors_int(spec, trial)]
+    _require_factor_kind(spec, "factor_determinants")
+    return [det_bareiss(f) for f in draw_integers(spec, trial)]
 
 
 def determinant_blocks(spec: EnsembleSpec, trial: int) -> np.ndarray:
@@ -410,75 +391,31 @@ def determinant_blocks(spec: EnsembleSpec, trial: int) -> np.ndarray:
     The k factors of a product or embedding trial, or the diagonal blocks of
     a block_triangular trial, each padded with an identity to the largest
     block size, which keeps its determinant."""
+    ints = draw_integers(spec, trial)
     if spec.kind != "block_triangular":
-        return np.stack(_draw_factor_entries(spec, trial))
-    full = _draw_block_entries(spec, trial)
+        return ints
     m = max(spec.block_sizes)
     stack = np.broadcast_to(np.identity(m, dtype=np.int64), (spec.k, m, m)).copy()
     start = 0
     for blk, s in zip(stack, spec.block_sizes):
-        blk[:s, :s] = full[start:start + s, start:start + s]
+        blk[:s, :s] = ints[start:start + s, start:start + s]
         start += s
     return stack
 
 
-def sample_product(spec: EnsembleSpec, trial: int, precision: int | None = None) -> PadicMatrix:
-    """A_1 A_2 ... A_k reduced mod p**N, folded left to right."""
-    _require_factor_kind(spec, "sample_product")
-    if trial < 0:
-        raise ValueError("trial must be >= 0")
-    N = precision if precision is not None else spec.working_precision()
-    q = spec.p ** N
-    factors = [_reduce_entries(f, spec.p, N) for f in _draw_factor_entries(spec, trial)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.dot(out, f) % q  # dot-safe by the residue_dtype contract
-    return PadicMatrix(out, spec.p, N)
+def build_bidiagonal_embedding(factors) -> np.ndarray:
+    """The nk x nk block bidiagonal matrix with the k factors on the diagonal
+    and identity blocks on the subdiagonal, in the factors' dtype; its
+    cokernel matches the one of the factor product.
 
-
-def sample_product_int(spec: EnsembleSpec, trial: int) -> IntMatrix:
-    """Exact integer product of the same factor stream (oracle-scale only)."""
-    factors = product_factors_int(spec, trial)
-    acc = np.array(factors[0].to_rows(), dtype=object)
-    for f in factors[1:]:
-        acc = np.dot(acc, np.array(f.to_rows(), dtype=object))
-    return IntMatrix.from_rows(acc.tolist())
-
-
-def build_bidiagonal_embedding(factors: Sequence[PadicMatrix]) -> PadicMatrix:
-    """The nk x nk block bidiagonal matrix with the factors on the diagonal
-    and identity blocks on the subdiagonal; its cokernel matches the one of
-    the factor product."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    n = factors[0].rows
-    p, N = factors[0].p, factors[0].precision
-    for f in factors:
-        if f.rows != n or f.cols != n or f.p != p or f.precision != N:
-            raise ValueError("factors must be square, equal size, same p and precision")
-    k = len(factors)
-    full = np.zeros((n * k, n * k), dtype=object)
-    for i, f in enumerate(factors):
-        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.asarray(f.data, dtype=object)
-        if i:
-            full[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.identity(n, dtype=object)
-    return PadicMatrix(full, p, N)
-
-
-def build_bidiagonal_embedding_int(factors: Sequence[IntMatrix]) -> IntMatrix:
-    if not factors:
-        raise ValueError("need at least one factor")
-    n = factors[0].rows
-    for f in factors:
-        if f.rows != n or f.cols != n:
-            raise ValueError("factors must be square and of equal size")
-    k = len(factors)
-    rows = [[0] * (n * k) for _ in range(n * k)]
-    for i, f in enumerate(factors):
-        block = f.to_rows()
-        for r in range(n):
-            for c in range(n):
-                rows[i * n + r][i * n + c] = block[r][c]
-            if i:
-                rows[i * n + r][(i - 1) * n + r] = 1
-    return IntMatrix.from_rows(rows)
+    `factors` is a (k, n, n) integer array or a sequence of k equal-size
+    square integer arrays."""
+    stack = np.asarray(factors)
+    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        raise ValueError("need one or more square factors of equal size")
+    k, n, _ = stack.shape
+    full = np.zeros((n * k, n * k), dtype=stack.dtype)
+    for i, f in enumerate(stack):
+        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = f
+    np.fill_diagonal(full[n:, :-n], 1)
+    return full

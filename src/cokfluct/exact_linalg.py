@@ -3,6 +3,9 @@
 Smith normal form over Z with arbitrary-precision integers, elementary-divisor
 p-valuations of square matrices mod p**N, and a block-aware streaming
 eliminator for block lower triangular inputs.
+
+Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
+exact routines copy them into rows of Python ints before any arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "IntMatrix",
     "PadicMatrix",
     "DivisorValuations",
     "CokernelPartition",
@@ -28,44 +30,6 @@ __all__ = [
 
 class BlockStructureError(ValueError):
     """A block claimed by the lower triangular layout is above the diagonal."""
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense matrix of Python ints, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
-        return cls(r, c, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
 
 
 def residue_dtype(p: int, precision: int, dim: int):
@@ -107,9 +71,6 @@ class PadicMatrix:
     def modulus(self) -> int:
         return self.p ** self.precision
 
-    def to_int_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows([[int(x) for x in row] for row in self.data])
-
     def __eq__(self, other):
         return (
             isinstance(other, PadicMatrix)
@@ -123,11 +84,15 @@ class PadicMatrix:
         return f"PadicMatrix({self.rows}x{self.cols}, p={self.p}, N={self.precision})"
 
 
-def reduce_matrix(m: IntMatrix, p: int, precision: int) -> PadicMatrix:
-    """Reduce an integer matrix entrywise mod p**precision."""
+def reduce_matrix(a, p: int, precision: int) -> PadicMatrix:
+    """Reduce a 2-D integer array (int64 or object) or nested list entrywise
+    mod p**precision; int64 entries are widened to Python ints first when
+    the modulus does not fit."""
+    a = np.asarray(a)
     q = p ** precision
-    rows = [[x % q for x in row] for row in m.to_rows()]
-    return PadicMatrix(np.array(rows, dtype=object), p, precision)
+    if q > 2 ** 62 and a.dtype != object:
+        a = a.astype(object)
+    return PadicMatrix(a % q, p, precision)
 
 
 @dataclass(frozen=True)
@@ -152,7 +117,22 @@ class CokernelPartition(NamedTuple):
 # Exact Smith normal form
 # ---------------------------------------------------------------------------
 
-def snf_diagonal(m: IntMatrix) -> list[int]:
+def _int_rows(m) -> list[list[int]]:
+    """Fresh rows of Python ints of a 2-D integer array (int64 or object) or
+    nested list, so the exact routines never compute in int64."""
+    if isinstance(m, np.ndarray):
+        if m.ndim != 2:
+            raise ValueError("need a 2-D integer matrix")
+        m = m.tolist()
+    rows = [[int(x) for x in row] for row in m]
+    if not rows or not rows[0]:
+        raise ValueError("matrix dimensions must be positive")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    return rows
+
+
+def snf_diagonal(m) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns d_1 | d_2 | ... | d_r with r = min(rows, cols), all nonnegative,
@@ -160,8 +140,8 @@ def snf_diagonal(m: IntMatrix) -> list[int]:
     reduced by gcd steps, which keeps coefficient growth tolerable at the
     sizes this library targets (n <= 64 exact).
     """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    a = _int_rows(m)
+    nrows, ncols = len(a), len(a[0])
     diag: list[int] = []
     t = 0
     while t < min(nrows, ncols):
@@ -255,12 +235,12 @@ def _isolate_pivot(a, t, nrows, ncols):
         a[t] = [x + y for x, y in zip(a[t], a[bad])]
 
 
-def det_bareiss(m: IntMatrix) -> int:
+def det_bareiss(m) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+    a = _int_rows(m)
+    n = len(a)
+    if n != len(a[0]):
         raise ValueError("determinant needs a square matrix")
-    a = m.to_rows()
-    n = m.rows
     sign = 1
     prev = 1
     for t in range(n):
@@ -278,10 +258,10 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rational_rank(m: IntMatrix) -> int:
+def rational_rank(m) -> int:
     """Rank over Q by fraction-free elimination with full pivoting."""
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    a = _int_rows(m)
+    nrows, ncols = len(a), len(a[0])
     prev = 1
     rank = 0
     for t in range(min(nrows, ncols)):
@@ -328,12 +308,13 @@ def dets_vanish_mod(blocks: np.ndarray, prime: int) -> np.ndarray:
     return vanish
 
 
-def cokernel_partition(m: IntMatrix, p: int) -> CokernelPartition:
+def cokernel_partition(m, p: int) -> CokernelPartition:
     """Type of the Sylow p-subgroup of cok(m) for square m, with the free rank
     (count of zero elementary divisors) reported alongside."""
-    if m.rows != m.cols:
+    a = _int_rows(m)
+    if len(a) != len(a[0]):
         raise ValueError("cokernel_partition expects a square matrix")
-    diag = snf_diagonal(m)
+    diag = snf_diagonal(a)
     free = sum(1 for d in diag if d == 0)
     vals = []
     for d in diag:

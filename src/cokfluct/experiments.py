@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_linalg import (
-    IntMatrix,
+    PadicMatrix,
     dets_vanish_mod,
     padic_valuations,
     rational_rank,
@@ -65,6 +65,7 @@ __all__ = [
     "CERTIFICATE_PRIME",
     "WORKERS_ENV_VAR",
     "working_depth",
+    "validate_run",
     "worker_budget",
     "run_trial",
     "run_experiment",
@@ -194,7 +195,7 @@ def _is_singular(spec: EnsembleSpec, trial: int) -> bool:
     blocks = determinant_blocks(spec, trial)
     m = blocks.shape[1]
     return any(
-        rational_rank(IntMatrix.from_rows(blocks[i].tolist())) < m
+        rational_rank(blocks[i]) < m
         for i in np.flatnonzero(dets_vanish_mod(blocks, CERTIFICATE_PRIME))
     )
 
@@ -210,7 +211,8 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
     elif spec.kind == "matrix_product":
         dv = padic_valuations(sample_product(spec, trial, depth))
     else:
-        m = build_bidiagonal_embedding(product_factors(spec, trial, depth))
+        factors = [f.data for f in product_factors(spec, trial, depth)]
+        m = PadicMatrix(build_bidiagonal_embedding(factors), spec.p, depth)
         dv = streaming_block_eliminate(m, (spec.n,) * spec.k)
     partition = (depth,) * dv.saturated_count + dv.partition()
     singular = dv.saturated_count > 0 and _is_singular(spec, trial)
@@ -262,6 +264,27 @@ def hom_moment_of_trial(partition: Sequence[int], free_rank: int, G: AbelianPGro
     return hom_count(as_partition(partition), G.lam, G.p) * G.order ** free_rank
 
 
+def validate_run(
+    p: int,
+    G_list: Sequence[AbelianPGroup],
+    lam_list: Sequence[Sequence[int]],
+    d: int,
+    zeta: float,
+) -> None:
+    """Raise ConfigError unless d >= 1, zeta lies in [0, 1), every group is
+    a p-group and every lambda has at most d parts."""
+    try:
+        FluctuationParams(p, zeta, d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for G in G_list:
+        if G.p != p:
+            raise ConfigError(f"group {G.label()} is not a {p}-group")
+    for lam in lam_list:
+        if len(lam) > d:
+            raise ConfigError(f"lambda {tuple(lam)} has more than d={d} parts")
+
+
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator, resamples: int) -> tuple[float, float]:
     n = len(values)
     if n == 0:
@@ -297,14 +320,9 @@ def run_experiment(
     percentile CIs (values resampled in trial order, seeded from the master
     seed) keep the report a pure function of the configuration.
     """
-    params = FluctuationParams(spec.p, zeta, d)
-    for G in G_list:
-        if G.p != spec.p:
-            raise ValueError(f"group {G.label()} is not a {spec.p}-group")
     lam_list = [as_partition(lam) for lam in lam_list]
-    for lam in lam_list:
-        if len(lam) > d:
-            raise ValueError(f"lambda {lam} has more than d={d} parts")
+    validate_run(spec.p, G_list, lam_list, d, zeta)
+    params = FluctuationParams(spec.p, zeta, d)
 
     records = _collect_records(spec, trials, working_depth(d, G_list), workers)
     finite = [r for r in records if not r.singular]

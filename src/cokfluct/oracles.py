@@ -6,20 +6,26 @@ their min/max over targets, the residual coset bound (1-eps)**m, the
 embedding/product cokernel identity, the w/t statistics of block-split
 vectors, the chain-growth inequality t <= ell(G)(1 + w), and the multichain
 count |{H : w=0, t=i}| = c(G, i) * C(k, i) with the matching probability sum.
+
+SUITES holds the fixed-input check suites that `cokfluct verify` prints and
+the acceptance tests assert.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact_linalg import IntMatrix, snf_diagonal
-from .ensembles import build_bidiagonal_embedding_int
+import numpy as np
+
+from .ensembles import build_bidiagonal_embedding
+from .exact_linalg import cokernel_partition, snf_diagonal
 from .experiments import hom_moment_of_trial
-from .exact_linalg import cokernel_partition
 from .pgroups import (
     AbelianPGroup,
     chain_count,
@@ -43,6 +49,7 @@ __all__ = [
     "verify_chain_claim",
     "w0_chain_counts",
     "verify_w0_decomposition",
+    "SUITES",
 ]
 
 MOMENT_ENUM_GUARD = 10 ** 6
@@ -123,8 +130,8 @@ def verify_moment_identity(law: FiniteSupportMatrixLaw, G: AbelianPGroup) -> Mom
     lhs = Fraction(0)
     for cells in itertools.product(law.support, repeat=n * n):
         prob = math.prod((w for _, w in cells), start=Fraction(1))
-        m = IntMatrix(n, n, tuple(v for v, _ in cells))
-        part, free = cokernel_partition(m, G.p)
+        values = [v for v, _ in cells]
+        part, free = cokernel_partition([values[i * n:(i + 1) * n] for i in range(n)], G.p)
         lhs += prob * hom_moment_of_trial(part, free, G)
 
     rhs = Fraction(0)
@@ -217,25 +224,21 @@ def verify_residual_bound(
 # Embedding / product cokernel identity
 # ---------------------------------------------------------------------------
 
-def verify_cok_identity(factors: Sequence[IntMatrix]) -> bool:
+def verify_cok_identity(factors) -> bool:
     """True iff the bidiagonal embedding of the factors and their product
     have isomorphic cokernels: equal nontrivial divisor multisets (zeros
-    included, so free ranks match)."""
-    if not factors:
+    included, so free ranks match).
+
+    `factors` is a sequence of equal-size square integer matrices (arrays or
+    nested lists); both sides are computed over Python ints."""
+    if not len(factors):
         raise ValueError("need at least one factor")
-    n = factors[0].rows
-    k = len(factors)
+    stack = np.array(factors, dtype=object)
+    n, k = len(stack[0]), len(stack)
     if n * k > COK_SIZE_GUARD:
         raise EnumerationGuardError(f"n*k = {n * k} exceeds {COK_SIZE_GUARD}")
-    embedded = snf_diagonal(build_bidiagonal_embedding_int(factors))
-    prod = factors[0].to_rows()
-    for f in factors[1:]:
-        rows = f.to_rows()
-        prod = [
-            [sum(prod[i][t] * rows[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    direct = snf_diagonal(IntMatrix.from_rows(prod))
+    embedded = snf_diagonal(build_bidiagonal_embedding(stack))
+    direct = snf_diagonal(functools.reduce(np.dot, stack))
     return sorted(d for d in embedded if d != 1) == sorted(d for d in direct if d != 1)
 
 
@@ -378,3 +381,157 @@ def verify_w0_decomposition(
         total += prob
     target = Fraction(chain_count(G, i) * math.comb(k, i))
     return W0DecompositionResult(total, target, count)
+
+
+# ---------------------------------------------------------------------------
+# Verify suites: `cokfluct verify <name>` runs SUITES[name](), a list of
+# (description, passed, detail) checks
+# ---------------------------------------------------------------------------
+
+def suite_identity() -> list[tuple[str, bool, str]]:
+    checks = []
+    laws = {
+        "uniform01": [(0, Fraction(1, 2)), (1, Fraction(1, 2))],
+        "uniform012": [(0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))],
+        "skewed": [(0, Fraction(1, 2)), (1, Fraction(1, 3)), (3, Fraction(1, 6))],
+    }
+    groups = [
+        AbelianPGroup(2, (1,)),
+        AbelianPGroup(3, (1,)),
+        AbelianPGroup(2, (1, 1)),
+        AbelianPGroup(2, (2,)),
+    ]
+    for name, support in laws.items():
+        for n in (1, 2):
+            law = FiniteSupportMatrixLaw(n, n, tuple(support))
+            for G in groups:
+                res = verify_moment_identity(law, G)
+                checks.append(
+                    (
+                        f"Hom-moment identity, {name}, n={n}, G={G.label()}",
+                        res.equal,
+                        f"lhs={res.lhs} rhs={res.rhs}",
+                    )
+                )
+    return checks
+
+
+def suite_balanced() -> list[tuple[str, bool, str]]:
+    checks = []
+    G0 = AbelianPGroup(2, (1,))
+    u01 = [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
+    res = verify_balanced_sums(FiniteSupportMatrixLaw(8, 8, tuple(u01)), G0)
+    expected = 1 - Fraction(1, 256)
+    checks.append(
+        (
+            "generated-vector sum, uniform mod 2, n=8",
+            res.s_min == expected and res.s_max == expected,
+            f"s_min={res.s_min} s_max={res.s_max} expected={expected}",
+        )
+    )
+    bern = [(0, Fraction(7, 10)), (1, Fraction(3, 10))]
+    # |S_max - 1| peaks at n=5 for this law and decays strictly afterwards,
+    # so the monotone stretch of the grid starts at 6; |S_min - 1| is
+    # monotone from the start.
+    max_gaps = []
+    min_gaps = []
+    for n in (4, 6, 8, 10):
+        r = verify_balanced_sums(FiniteSupportMatrixLaw(n, n, tuple(bern)), G0)
+        max_gaps.append(abs(r.s_max - 1))
+        min_gaps.append(abs(r.s_min - 1))
+    checks.append(
+        (
+            "generated-vector max-sum gap decreasing, Bernoulli(3/10), n in {6,8,10}",
+            max_gaps[1] > max_gaps[2] > max_gaps[3],
+            f"gaps={[float(x) for x in max_gaps[1:]]}",
+        )
+    )
+    checks.append(
+        (
+            "generated-vector min-sum gap decreasing, Bernoulli(3/10), n in {4,6,8,10}",
+            min_gaps[0] > min_gaps[1] > min_gaps[2] > min_gaps[3],
+            f"gaps={[float(x) for x in min_gaps]}",
+        )
+    )
+    return checks
+
+
+def suite_cok(instances: int = 100, seed: int = 20260810) -> list[tuple[str, bool, str]]:
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(instances):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, 4)
+        factors = [
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            for _ in range(k)
+        ]
+        if not verify_cok_identity(factors):
+            failures += 1
+    return [
+        (
+            f"embedding/product cokernel identity, {instances} random instances",
+            failures == 0,
+            f"failures={failures}",
+        )
+    ]
+
+
+def suite_chains(samples: int = 10 ** 4, seed: int = 7) -> list[tuple[str, bool, str]]:
+    G = AbelianPGroup(2, (2, 1))
+    lat = enumerate_subgroups(G)
+    sets = lat.as_sets()
+    rng = random.Random(seed)
+    violations = 0
+    for _ in range(samples):
+        seq = [sets[rng.randrange(len(sets))] for _ in range(10)]
+        if not verify_chain_claim(G, seq):
+            violations += 1
+    return [
+        (
+            f"chain growth inequality, {samples} random sequences over Sg(Z/4+Z/2)",
+            violations == 0,
+            f"violations={violations}",
+        )
+    ]
+
+
+def suite_decomposition() -> list[tuple[str, bool, str]]:
+    checks = []
+    ok = True
+    detail = []
+    for G in (AbelianPGroup(2, (1,)), AbelianPGroup(2, (2,)), AbelianPGroup(2, (1, 1))):
+        for k in range(1, 7):
+            counts = w0_chain_counts(G, k)
+            for i in range(ell(G) + 1):
+                expected = chain_count(G, i) * math.comb(k, i)
+                got = counts.get(i, 0)
+                if got != expected:
+                    ok = False
+                    detail.append(f"G={G.label()} k={k} i={i}: {got} != {expected}")
+    checks.append(
+        (
+            "multichain count = c(G,i) * C(k,i), |G| <= 4, k <= 6",
+            ok,
+            "; ".join(detail) or "all equal",
+        )
+    )
+    law = FiniteSupportMatrixLaw(1, 1, ((0, Fraction(1, 2)), (1, Fraction(1, 2))))
+    res = verify_w0_decomposition(law, AbelianPGroup(2, (1,)), i=1, k=2, block_sizes=(1, 1))
+    checks.append(
+        (
+            "w=0 probability decomposition recorded (no threshold)",
+            res.vector_count == 2,
+            f"sum={res.total} target={res.target} vectors={res.vector_count}",
+        )
+    )
+    return checks
+
+
+SUITES = {
+    "identity": suite_identity,
+    "balanced": suite_balanced,
+    "cok": suite_cok,
+    "chains": suite_chains,
+    "decomposition": suite_decomposition,
+}

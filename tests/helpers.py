@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from cokfluct import AbelianPGroup, IntMatrix, enumerate_subgroups
+from cokfluct import AbelianPGroup, enumerate_subgroups
 
 
 def det_cofactor(rows: list[list[int]]) -> int:
@@ -28,11 +28,10 @@ def det_cofactor(rows: list[list[int]]) -> int:
     return total
 
 
-def snf_via_minor_gcds(m: IntMatrix) -> list[int]:
+def snf_via_minor_gcds(rows: list[list[int]]) -> list[int]:
     """Smith divisors from determinantal divisors: D_k = gcd of all k x k
     minors, d_k = D_k / D_{k-1}.  Independent of any elimination."""
-    rows = m.to_rows()
-    r, c = m.rows, m.cols
+    r, c = len(rows), len(rows[0])
     size = min(r, c)
     dets_prev = 1
     out = []
@@ -118,7 +117,5 @@ def random_elementary_ops(rng, rows: list[list[int]], ops: int, side: str) -> li
     return a
 
 
-def random_int_matrix(rng, n: int, lo: int = -9, hi: int = 9) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-    )
+def random_int_matrix(rng, n: int, lo: int = -9, hi: int = 9) -> list[list[int]]:
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]

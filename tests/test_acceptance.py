@@ -7,7 +7,6 @@ pins determinism across worker budgets.
 """
 
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -18,18 +17,14 @@ from cokfluct import (
     EnsembleSpec,
     EntryDistribution,
     FiniteSupportMatrixLaw,
-    IntMatrix,
     chain_count,
     compare_ensembles,
-    enumerate_subgroups,
     hom_count,
     run_experiment,
     verify_balanced_sums,
-    verify_chain_claim,
-    verify_cok_identity,
-    verify_moment_identity,
     w0_chain_counts,
 )
+from cokfluct.oracles import SUITES
 from helpers import brute_hom_count
 
 SEED = 20260810
@@ -57,43 +52,29 @@ def timed(key):
 
 # ---------------------------------------------------------------------------
 # Criterion 1: exact identity suite (100% pass, exact arithmetic, < 60 s)
+#
+# 1a, 1b, 1d and 1e-uniform run the suites of `cokfluct verify`.
 # ---------------------------------------------------------------------------
 
+def suite_line(name, checks):
+    """PASS iff the verify suite returned checks and every one passed."""
+    failed = [f"{desc} ({info})" for desc, passed, info in checks if not passed]
+    detail = "; ".join(failed) if failed else f"{len(checks)} passed, first: {checks[0][0]}"
+    return report_line(name, bool(checks) and not failed, detail)
+
+
 def test_1a_embedding_product_isomorphic():
-    rng = random.Random(SEED)
     with timed("1a"):
-        failures = 0
-        for _ in range(100):
-            n = rng.randint(1, 3)
-            k = rng.randint(1, 4)
-            factors = [
-                IntMatrix.from_rows(
-                    [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-                )
-                for _ in range(k)
-            ]
-            if not verify_cok_identity(factors):
-                failures += 1
-    assert report_line("1a", failures == 0, f"100 instances, {failures} failures")
+        checks = SUITES["cok"](instances=100, seed=SEED)
+    assert suite_line("1a", checks)
 
 
 def test_1b_moment_identity_exact():
-    supports = [
-        ((0, Fraction(1, 2)), (1, Fraction(1, 2))),
-        ((0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))),
-        ((0, Fraction(1, 2)), (1, Fraction(1, 3)), (3, Fraction(1, 6))),
-    ]
-    groups = [Z2, AbelianPGroup(3, (1,)), AbelianPGroup(2, (1, 1)), AbelianPGroup(2, (2,))]
+    # 3 supports x n in {1, 2} x 4 groups, one exact equality each
     with timed("1b"):
-        bad = []
-        for support in supports:
-            for n in (1, 2):
-                law = FiniteSupportMatrixLaw(n, n, support)
-                for G in groups:
-                    res = verify_moment_identity(law, G)
-                    if not res.equal:
-                        bad.append((support, n, G.label(), res.lhs, res.rhs))
-    assert report_line("1b", not bad, f"{3 * 2 * 4} exact equalities" if not bad else str(bad))
+        checks = SUITES["identity"]()
+    assert len(checks) == 3 * 2 * 4
+    assert suite_line("1b", checks)
 
 
 def test_1c_chain_and_structure_identities():
@@ -135,24 +116,17 @@ def test_1c_chain_and_structure_identities():
 
 
 def test_1d_chain_inequality_10k():
-    G = AbelianPGroup(2, (2, 1))
-    sets = enumerate_subgroups(G).as_sets()
-    rng = random.Random(SEED + 1)
     with timed("1d"):
-        violations = sum(
-            0 if verify_chain_claim(G, [sets[rng.randrange(len(sets))] for _ in range(10)]) else 1
-            for _ in range(10 ** 4)
-        )
-    assert report_line("1d", violations == 0, f"10^4 sequences, {violations} violations")
+        checks = SUITES["chains"](samples=10 ** 4, seed=SEED + 1)
+    assert suite_line("1d", checks)
 
 
 def test_1e_uniform_exact_sum():
-    law = FiniteSupportMatrixLaw(8, 8, ((0, Fraction(1, 2)), (1, Fraction(1, 2))))
+    # S = 1 - 1/256 exactly for uniform mod 2 at n = 8, plus the suite's
+    # Bernoulli(3/10) gap trends
     with timed("1e"):
-        res = verify_balanced_sums(law, Z2)
-    expected = 1 - Fraction(1, 256)
-    ok = res.s_min == expected and res.s_max == expected
-    assert report_line("1e-uniform", ok, f"S = {res.s_max} (exact)")
+        checks = SUITES["balanced"]()
+    assert suite_line("1e-uniform", checks)
 
 
 @pytest.mark.xfail(

@@ -114,6 +114,33 @@ class TestSimulate:
         assert "config error:" in res.output
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lambdas": [[1, 1]], "d": 1},
+            {"d": 0},
+            {"zeta": 1.5},
+            {"groups": [{"p": 3, "lambda": [1]}]},
+        ],
+    )
+    def test_bad_run_parameters_exit_2(self, tmp_path, overrides):
+        res = CliRunner().invoke(main, ["simulate", "--config", str(make_config(tmp_path, **overrides))])
+        assert res.exit_code == 2, res.output
+        assert "config error:" in res.output
+        assert not (tmp_path / "run").exists()
+
+    def test_ensemble_precision_rejected(self, tmp_path):
+        cfg = make_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["ensemble"]["precision"] = 5
+        cfg.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert "config error:" in res.output and "precision" in res.output
+        raw["ensemble"]["precision"] = None
+        cfg.write_text(json.dumps(raw))
+        assert CliRunner().invoke(main, ["simulate", "--config", str(cfg)]).exit_code == 0
+
     def test_zero_workers_exits_2(self, tmp_path):
         res = CliRunner().invoke(
             main, ["simulate", "--config", str(make_config(tmp_path)), "--workers", "0"]

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -9,15 +10,12 @@ from cokfluct import (
     EnsembleSpec,
     EntryDistribution,
     build_bidiagonal_embedding,
-    build_bidiagonal_embedding_int,
     cokernel_partition,
     default_precision,
+    draw_integers,
     product_factors,
-    product_factors_int,
     sample_block_matrix,
-    sample_block_matrix_int,
     sample_product,
-    sample_product_int,
 )
 from cokfluct.ensembles import trial_rng
 
@@ -34,6 +32,10 @@ def block_spec(**kw):
     )
     base.update(kw)
     return EnsembleSpec(**base)
+
+
+def exact_product(spec, trial):
+    return functools.reduce(np.dot, draw_integers(spec, trial).astype(object))
 
 
 class TestEntryDistribution:
@@ -185,10 +187,10 @@ class TestBlockSampler:
 
     def test_matches_integer_sample(self):
         spec = block_spec()
-        exact = sample_block_matrix_int(spec, 7)
+        exact = draw_integers(spec, 7)
         m = sample_block_matrix(spec, 7)
         q = m.modulus
-        assert [[x % q for x in row] for row in exact.to_rows()] == [
+        assert [[x % q for x in row] for row in exact.tolist()] == [
             [int(x) for x in row] for row in m.data
         ]
 
@@ -210,9 +212,9 @@ class TestProductSampler:
 
     def test_scalar_product(self):
         spec = self.prod_spec(k=2, n=1)
-        factors = product_factors_int(spec, 4)
+        factors = draw_integers(spec, 4)
         prod = sample_product(spec, 4)
-        expected = (factors[0][0, 0] * factors[1][0, 0]) % prod.modulus
+        expected = (int(factors[0][0, 0]) * int(factors[1][0, 0])) % prod.modulus
         assert int(prod.data[0, 0]) == expected
 
     def test_associativity_under_reduction(self):
@@ -227,23 +229,23 @@ class TestProductSampler:
 
     def test_exact_product_consistent(self):
         spec = self.prod_spec(k=4, n=2)
-        exact = sample_product_int(spec, 9)
+        exact = exact_product(spec, 9)
         reduced = sample_product(spec, 9)
         q = reduced.modulus
-        assert [[x % q for x in row] for row in exact.to_rows()] == [
+        assert [[x % q for x in row] for row in exact.tolist()] == [
             [int(x) for x in row] for row in reduced.data
         ]
 
     @pytest.mark.parametrize("precision", [16, 32, 63, 128])
     def test_grouped_fold_equals_naive_fold(self, precision):
-        # the modular fold must equal the naive fully reduced left fold over
-        # Python ints at every precision, on int64 and object residues alike
-        from cokfluct.ensembles import _draw_factor_entries
+        # sample_product's modular fold (int64 residues up to 2**16 here,
+        # object residues from 2**32) must equal a left fold over Python ints
+        # reduced after every product
         spec = self.prod_spec(k=12, n=4, A_dist=EntryDistribution.uniform_range(-100, 100))
         q = 2 ** precision
         for trial in range(3):
             naive = None
-            for f in _draw_factor_entries(spec, trial):
+            for f in draw_integers(spec, trial):
                 g = np.asarray(f, dtype=object) % q
                 naive = g if naive is None else np.dot(naive, g) % q
             got = np.asarray(sample_product(spec, trial, precision).data, dtype=object)
@@ -260,40 +262,36 @@ class TestProductSampler:
                 blocks = determinant_blocks(spec, trial)
                 dets = [det_cofactor(b.tolist()) for b in blocks]
                 if spec.kind == "block_triangular":
-                    whole = sample_block_matrix_int(spec, trial)
+                    whole = draw_integers(spec, trial)
                 else:
-                    whole = sample_product_int(spec, trial)
-                assert math.prod(dets) == det_cofactor(whole.to_rows())
+                    whole = exact_product(spec, trial)
+                assert math.prod(dets) == det_cofactor(whole.tolist())
 
     def test_factor_determinants_exact(self):
         from cokfluct.ensembles import factor_determinants
         from helpers import det_cofactor
         spec = self.prod_spec(k=3, n=3)
         dets = factor_determinants(spec, 2)
-        expected = [det_cofactor(f.to_rows()) for f in product_factors_int(spec, 2)]
+        expected = [det_cofactor(f.tolist()) for f in draw_integers(spec, 2)]
         assert dets == expected
 
 
 class TestBidiagonalEmbedding:
     def test_k1(self):
-        f = [np.array([[2]])]
-        from cokfluct import PadicMatrix
-        m = build_bidiagonal_embedding([PadicMatrix(f[0] % 2 ** 16, 2, 16)])
-        assert m.rows == 1 and int(m.data[0, 0]) == 2
+        m = build_bidiagonal_embedding([np.array([[2]])])
+        assert m.shape == (1, 1) and int(m[0, 0]) == 2
 
     def test_layout_two_scalars(self):
-        from cokfluct import IntMatrix
-        emb = build_bidiagonal_embedding_int(
-            [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])]
-        )
-        assert emb.to_rows() == [[2, 0], [1, 3]]
+        emb = build_bidiagonal_embedding(np.array([[[2]], [[3]]], dtype=object))
+        assert emb.dtype == object
+        assert emb.tolist() == [[2, 0], [1, 3]]
 
     def test_layout_blocks(self):
-        from cokfluct import IntMatrix
-        a = IntMatrix.from_rows([[1, 2], [3, 4]])
-        b = IntMatrix.from_rows([[5, 6], [7, 8]])
-        emb = build_bidiagonal_embedding_int([a, b])
-        assert emb.to_rows() == [
+        a = np.array([[1, 2], [3, 4]])
+        b = np.array([[5, 6], [7, 8]])
+        emb = build_bidiagonal_embedding([a, b])
+        assert emb.dtype == np.int64
+        assert emb.tolist() == [
             [1, 2, 0, 0],
             [3, 4, 0, 0],
             [1, 0, 5, 6],
@@ -307,17 +305,14 @@ class TestBidiagonalEmbedding:
             A_dist=EntryDistribution.uniform_range(-5, 5), master_seed=21,
         )
         for trial in range(50):
-            prod_part = cokernel_partition(sample_product_int(spec, trial), 2)
-            emb = build_bidiagonal_embedding_int(product_factors_int(spec, trial))
+            prod_part = cokernel_partition(exact_product(spec, trial), 2)
+            emb = build_bidiagonal_embedding(draw_integers(spec, trial).astype(object))
             emb_part = cokernel_partition(emb, 2)
             assert prod_part == emb_part
 
     def test_size_mismatch(self):
-        from cokfluct import IntMatrix
         with pytest.raises(ValueError):
-            build_bidiagonal_embedding_int(
-                [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1, 0], [0, 1]])]
-            )
+            build_bidiagonal_embedding([np.array([[1]]), np.identity(2, dtype=np.int64)])
 
 
 class TestSeeding:

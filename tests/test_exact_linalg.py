@@ -2,11 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cokfluct import (
     BlockStructureError,
     DivisorValuations,
-    IntMatrix,
     PadicMatrix,
     cokernel_partition,
     padic_valuations,
@@ -23,9 +23,16 @@ from helpers import (
 )
 
 
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-10 ** 12, 10 ** 12)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 class TestSnfDiagonal:
     def test_identity(self):
-        assert snf_diagonal(IntMatrix.identity(2)) == [1, 1]
+        assert snf_diagonal(np.identity(2, dtype=np.int64)) == [1, 1]
 
     @pytest.mark.parametrize(
         "rows,expected",
@@ -35,9 +42,8 @@ class TestSnfDiagonal:
         ],
     )
     def test_small_examples_against_minor_oracle(self, rows, expected):
-        m = IntMatrix.from_rows(rows)
-        assert snf_via_minor_gcds(m) == expected
-        assert snf_diagonal(m) == expected
+        assert snf_via_minor_gcds(rows) == expected
+        assert snf_diagonal(rows) == expected
 
     def test_random_against_minor_oracle(self):
         rng = random.Random(1)
@@ -47,9 +53,9 @@ class TestSnfDiagonal:
             assert snf_diagonal(m) == snf_via_minor_gcds(m)
 
     def test_rectangular(self):
-        m = IntMatrix.from_rows([[2, 4, 6]])
+        m = [[2, 4, 6]]
         assert snf_diagonal(m) == [2]
-        m = IntMatrix.from_rows([[0, 0], [0, 0], [3, 0]])
+        m = [[0, 0], [0, 0], [3, 0]]
         assert snf_diagonal(m) == [3, 0]
 
     def test_divisibility_chain_and_det(self):
@@ -60,7 +66,7 @@ class TestSnfDiagonal:
             diag = snf_diagonal(m)
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0 if a else b == 0
-            det = det_cofactor(m.to_rows())
+            det = det_cofactor(m)
             if det:
                 prod = 1
                 for d in diag:
@@ -72,9 +78,48 @@ class TestSnfDiagonal:
         for _ in range(25):
             n = rng.randint(2, 4)
             m = random_int_matrix(rng, n)
-            rows = random_elementary_ops(rng, m.to_rows(), rng.randint(1, 20), "row")
+            rows = random_elementary_ops(rng, m, rng.randint(1, 20), "row")
             rows = random_elementary_ops(rng, rows, rng.randint(1, 20), "col")
-            assert snf_diagonal(IntMatrix.from_rows(rows)) == snf_diagonal(m)
+            assert snf_diagonal(rows) == snf_diagonal(m)
+
+
+class TestInputForms:
+    EXACT = (
+        snf_diagonal,
+        det_bareiss,
+        rational_rank,
+        lambda m: cokernel_partition(m, 2),
+    )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[], [[]], [[1, 2], [3]], np.zeros(3, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)],
+    )
+    def test_malformed_input_rejected(self, bad):
+        for f in self.EXACT:
+            with pytest.raises(ValueError):
+                f(bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=square_matrices(), p=st.sampled_from([2, 3, 5]))
+    def test_lists_int64_and_object_agree(self, rows, p):
+        # entries up to 1e12: any product computed in int64 would overflow
+        forms = (rows, np.array(rows, dtype=np.int64), np.array(rows, dtype=object))
+        for f in (snf_diagonal, det_bareiss, rational_rank, lambda m: cokernel_partition(m, p)):
+            first, *rest = (f(m) for m in forms)
+            assert all(r == first for r in rest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=square_matrices(), p=st.sampled_from([2, 3, 5]), depth=st.integers(1, 5))
+    def test_residue_backends_match_exact_type(self, rows, p, depth):
+        part, free = cokernel_partition(rows, p)
+        for N, dtype in ((depth, np.int64), (depth + 40, object)):
+            expected = tuple(sorted([N] * free + [min(x, N) for x in part], reverse=True))
+            for form in (np.array(rows, dtype=np.int64), np.array(rows, dtype=object)):
+                m = reduce_matrix(form, p, N)
+                assert m.data.dtype == dtype
+                dv = padic_valuations(m)
+                assert (N,) * dv.saturated_count + dv.partition() == expected
 
 
 class TestBareissHelpers:
@@ -82,7 +127,7 @@ class TestBareissHelpers:
         rng = random.Random(21)
         for _ in range(60):
             m = random_int_matrix(rng, rng.randint(1, 4))
-            assert det_bareiss(m) == det_cofactor(m.to_rows())
+            assert det_bareiss(m) == det_cofactor(m)
 
     def test_rank_matches_snf_nonzero_count(self):
         rng = random.Random(22)
@@ -91,7 +136,7 @@ class TestBareissHelpers:
             assert rational_rank(m) == sum(1 for d in snf_diagonal(m) if d)
 
     def test_rank_deficient(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+        m = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
         assert rational_rank(m) == 2
         assert det_bareiss(m) == 0
 
@@ -101,7 +146,7 @@ class TestDetsVanishMod:
     def test_matches_cofactor_det(self, prime):
         rng = random.Random(23)
         for n in (1, 2, 3, 4):
-            mats = [random_int_matrix(rng, n).to_rows() for _ in range(40)]
+            mats = [random_int_matrix(rng, n) for _ in range(40)]
             mats.append([[0] * n for _ in range(n)])
             got = dets_vanish_mod(np.array(mats, dtype=np.int64), prime)
             assert got.tolist() == [det_cofactor(m) % prime == 0 for m in mats]
@@ -114,31 +159,31 @@ class TestDetsVanishMod:
 
 class TestCokernelPartition:
     def test_diagonal_examples(self):
-        m = IntMatrix.from_rows([[2, 0], [0, 8]])
+        m = [[2, 0], [0, 8]]
         assert cokernel_partition(m, 2) == ((3, 1), 0)
         assert cokernel_partition(m, 3) == ((), 0)
 
     def test_via_snf_oracle(self):
-        m = IntMatrix.from_rows([[2, 0], [1, 3]])
+        m = [[2, 0], [1, 3]]
         assert snf_via_minor_gcds(m) == [1, 6]
         assert cokernel_partition(m, 2) == ((1,), 0)
 
     def test_free_rank_reported_separately(self):
-        m = IntMatrix.from_rows([[2, 0], [0, 0]])
+        m = [[2, 0], [0, 0]]
         assert cokernel_partition(m, 2) == ((1,), 1)
 
     def test_square_required(self):
         with pytest.raises(ValueError):
-            cokernel_partition(IntMatrix.from_rows([[1, 2]]), 2)
+            cokernel_partition([[1, 2]], 2)
 
 
 class TestPadicValuations:
     def test_diag_full_precision(self):
-        m = reduce_matrix(IntMatrix.from_rows([[2, 0], [0, 8]]), 2, 16)
+        m = reduce_matrix([[2, 0], [0, 8]], 2, 16)
         assert padic_valuations(m) == DivisorValuations((1, 3), 0)
 
     def test_diag_saturates_at_low_precision(self):
-        m = reduce_matrix(IntMatrix.from_rows([[2, 0], [0, 8]]), 2, 2)
+        m = reduce_matrix([[2, 0], [0, 8]], 2, 2)
         assert padic_valuations(m) == DivisorValuations((1,), 1)
 
     def test_random_5x5_mod_2_32_matches_exact(self):
@@ -147,7 +192,7 @@ class TestPadicValuations:
         done = 0
         while done < 10:
             m = random_int_matrix(rng, 5)
-            if det_cofactor(m.to_rows()) == 0:
+            if det_cofactor(m) == 0:
                 continue
             done += 1
             part, free = cokernel_partition(m, 2)
@@ -206,7 +251,7 @@ class TestPadicMatrix:
 class TestStreamingBlockEliminate:
     def test_k2_example_matches_oracle(self):
         # assembled matrix [[2, 0], [1, 3]]
-        full = reduce_matrix(IntMatrix.from_rows([[2, 0], [1, 3]]), 2, 16)
+        full = reduce_matrix([[2, 0], [1, 3]], 2, 16)
         oracle = padic_valuations(full)
         got = streaming_block_eliminate(full, [1, 1])
         assert got == oracle
@@ -214,7 +259,7 @@ class TestStreamingBlockEliminate:
         assert got.saturated_count == 0
 
     def test_single_block_degenerate(self):
-        m = reduce_matrix(IntMatrix.from_rows([[6, 2], [4, 8]]), 2, 16)
+        m = reduce_matrix([[6, 2], [4, 8]], 2, 16)
         assert streaming_block_eliminate(m, [2]) == padic_valuations(m)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -233,20 +278,20 @@ class TestStreamingBlockEliminate:
                     for r in range(offs[bi], offs[bi + 1]):
                         for c in range(offs[bj], offs[bj + 1]):
                             rows[r][c] = rng.randint(-9, 9)
-            m = reduce_matrix(IntMatrix.from_rows(rows), p, 16)
+            m = reduce_matrix(rows, p, 16)
             assert streaming_block_eliminate(m, sizes) == padic_valuations(m)
 
     def test_saturation_passes_through(self):
-        m = reduce_matrix(IntMatrix.from_rows([[2, 0], [0, 8]]), 2, 2)
+        m = reduce_matrix([[2, 0], [0, 8]], 2, 2)
         got = streaming_block_eliminate(m, [1, 1])
         assert got == DivisorValuations((1,), 1)
 
     def test_structural_error_above_diagonal(self):
-        m = reduce_matrix(IntMatrix.from_rows([[2, 1], [1, 3]]), 2, 16)
+        m = reduce_matrix([[2, 1], [1, 3]], 2, 16)
         with pytest.raises(BlockStructureError):
             streaming_block_eliminate(m, [1, 1])
 
     def test_block_sizes_must_tile(self):
-        m = reduce_matrix(IntMatrix.from_rows([[2, 0], [1, 3]]), 2, 16)
+        m = reduce_matrix([[2, 0], [1, 3]], 2, 16)
         with pytest.raises(ValueError):
             streaming_block_eliminate(m, [1, 1, 1])

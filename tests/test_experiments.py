@@ -1,6 +1,8 @@
+import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,15 +12,13 @@ from cokfluct import (
     EntryDistribution,
     ExperimentReport,
     FiniteSupportMatrixLaw,
-    build_bidiagonal_embedding_int,
+    build_bidiagonal_embedding,
     cokernel_partition,
     compare_ensembles,
+    draw_integers,
     hom_moment_of_trial,
-    product_factors_int,
     run_experiment,
     run_trial,
-    sample_block_matrix_int,
-    sample_product_int,
     total_variation,
     verify_moment_identity,
 )
@@ -35,11 +35,12 @@ def truncated_type(part, free, depth):
 
 
 def exact_int_matrix(spec, trial):
+    ints = draw_integers(spec, trial).astype(object)
     if spec.kind == "block_triangular":
-        return sample_block_matrix_int(spec, trial)
+        return ints
     if spec.kind == "matrix_product":
-        return sample_product_int(spec, trial)
-    return build_bidiagonal_embedding_int(product_factors_int(spec, trial))
+        return functools.reduce(np.dot, ints)
+    return build_bidiagonal_embedding(ints)
 
 
 def _valuation(x, p):
@@ -92,7 +93,7 @@ class TestRunTrial:
             B_dist=EntryDistribution.uniform_range(-100, 100),
             master_seed=1,
         )
-        part, free = cokernel_partition(sample_block_matrix_int(spec, 0), 2)
+        part, free = cokernel_partition(draw_integers(spec, 0), 2)
         assert free == 0 and part
         for depth in (1, 3, 64):
             rec = run_trial(spec, 0, depth)
@@ -218,12 +219,12 @@ class TestRunExperiment:
         singular = []
         for trial in range(60):
             rec = run_trial(spec, trial, depth)
-            ranks = [rational_rank(f) for f in product_factors_int(spec, trial)]
+            ranks = [rational_rank(f) for f in draw_integers(spec, trial)]
             assert rec.singular == (min(ranks) < spec.n)
             if rec.singular:
                 singular.append(rec)
                 if len(singular) <= 2:  # exact SNF on the product is slow
-                    part, free = cokernel_partition(sample_product_int(spec, trial), 2)
+                    part, free = cokernel_partition(exact_int_matrix(spec, trial), 2)
                     assert free > 0
                     assert rec.partition == (depth,) * free + part
         assert singular, "expected singular trials in this configuration"

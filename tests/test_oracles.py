@@ -2,12 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cokfluct import (
     AbelianPGroup,
     FiniteSupportMatrixLaw,
-    IntMatrix,
     chain_count,
     ell,
     enumerate_subgroups,
@@ -153,12 +153,10 @@ class TestResidualBound:
 
 class TestCokIdentity:
     def test_scalars(self):
-        assert verify_cok_identity(
-            [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])]
-        )
+        assert verify_cok_identity([[[2]], [[3]]])
 
     def test_identity_factors(self):
-        assert verify_cok_identity([IntMatrix.identity(2), IntMatrix.identity(2)])
+        assert verify_cok_identity([np.identity(2, dtype=np.int64)] * 2)
 
     def test_random_instances(self):
         rng = random.Random(13)
@@ -166,16 +164,14 @@ class TestCokIdentity:
             n = rng.randint(1, 3)
             k = rng.randint(1, 4)
             factors = [
-                IntMatrix.from_rows(
-                    [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-                )
+                [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
                 for _ in range(k)
             ]
             assert verify_cok_identity(factors)
 
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
-            verify_cok_identity([IntMatrix.identity(5)] * 5)
+            verify_cok_identity([np.identity(5, dtype=np.int64)] * 5)
 
 
 class TestWTStatistics:
