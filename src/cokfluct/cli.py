@@ -245,16 +245,24 @@ def theory(groups, lambdas, p_, zeta, d):
         click.echo(line)
 
 
+def _read_report(path: Path) -> ExperimentReport:
+    raw = json.loads(path.read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path.name} does not hold a JSON object")
+    try:
+        return ExperimentReport.from_dict(raw)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path.name} is not a report: {exc!r}") from exc
+
+
 @main.command()
 @click.argument("report_a", type=click.Path(exists=True, path_type=Path))
 @click.argument("report_b", type=click.Path(exists=True, path_type=Path))
 def compare(report_a, report_b):
     """Total-variation summary of two report files."""
     try:
-        a = ExperimentReport.from_dict(json.loads(report_a.read_text()))
-        b = ExperimentReport.from_dict(json.loads(report_b.read_text()))
-        summary = compare_ensembles(a, b)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        summary = compare_ensembles(_read_report(report_a), _read_report(report_b))
+    except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     click.echo(json.dumps(summary.to_dict(), indent=2, sort_keys=True))

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact_linalg import PadicMatrix, det_bareiss, reduce_matrix
+from .pgroups import _is_prime
 
 __all__ = [
     "ConfigError",
@@ -258,6 +259,8 @@ class EnsembleSpec:
         else:
             if self.n is None or self.n < 1:
                 raise ConfigError(f"{self.kind} needs n >= 1")
+        if not _is_prime(self.p):
+            raise ConfigError(f"p must be prime, got {self.p}")
         if not self.A_dist.is_balanced(self.p):
             raise ConfigError(
                 f"entry distribution for the A blocks is constant mod p={self.p}; "

@@ -1,8 +1,9 @@
 """Exact integer and p-adic linear algebra.
 
-Smith normal form over Z with arbitrary-precision integers, elementary-divisor
-p-valuations of square matrices mod p**N, and a block-aware streaming
-eliminator for block lower triangular inputs.
+Smith normal form over Z with arbitrary-precision integers, and one
+unit-pivot elimination kernel mod p**N for elementary-divisor p-valuations:
+streaming_block_eliminate takes a block lower triangular matrix one block row
+at a time, and padic_valuations is its one-block case.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
@@ -330,92 +331,37 @@ def cokernel_partition(m, p: int) -> CokernelPartition:
 
 
 # ---------------------------------------------------------------------------
-# Valuation-aware elimination mod p**N
+# Unit-pivot elimination mod p**N
 # ---------------------------------------------------------------------------
-
-def _min_valuation(sub, p, precision):
-    """(v, (i, j)) for the first entry of minimal p-valuation in row-major
-    order, or (None, None) when the block vanishes mod p**precision."""
-    units = (sub % p) != 0
-    if units.any():
-        flat = int(np.argmax(units))
-        return 0, divmod(flat, sub.shape[1])
-    if not sub.any():
-        return None, None
-    s = sub // p
-    v = 1
-    while v < precision:
-        units = (s % p) != 0
-        if units.any():
-            flat = int(np.argmax(units))
-            return v, divmod(flat, s.shape[1])
-        s = s // p
-        v += 1
-    return None, None
-
-
-def _eliminate(a, p, precision):
-    """Two-sided elimination of a writable square array mod q = p**precision.
-
-    Pivot = entry of minimal p-valuation; its row and column are cleared by
-    exact unit-scaled subtractions, so the trailing block stays equal to the
-    integer Schur complement mod q.  Returns (sorted valuations, saturated).
-    """
-    n = a.shape[0]
-    q = p ** precision
-    vals: list[int] = []
-    for t in range(n):
-        v, pos = _min_valuation(a[t:, t:], p, precision)
-        if v is None:
-            return tuple(sorted(vals)), n - t
-        i, j = pos[0] + t, pos[1] + t
-        if i != t:
-            a[[t, i], :] = a[[i, t], :]
-        if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
-        pv = p ** v
-        m = q // pv
-        unit = int(a[t, t]) // pv
-        uinv = pow(unit % m, -1, m)
-        col = a[t + 1:, t]
-        if col.size:
-            f = ((col // pv) * uinv) % m
-            a[t + 1:, t:] = (a[t + 1:, t:] - np.outer(f, a[t, t:])) % q
-        # Column ops clearing row t only touch row t now that column t is clear.
-        a[t, t + 1:] = 0
-        vals.append(v)
-    return tuple(sorted(vals)), 0
-
 
 def padic_valuations(m: PadicMatrix) -> DivisorValuations:
     """Elementary-divisor p-valuations of a square matrix mod p**precision.
 
-    Valuations below the precision are exact for any integer lift; positions
-    whose residual block vanished mod p**precision are only known to carry
-    valuation >= precision and are counted as saturated.
+    A square matrix is block lower triangular with one block, so this is
+    streaming_block_eliminate with a single block.  Valuations below the
+    precision are exact for any integer lift; positions whose residual block
+    vanished mod p**precision are only known to carry valuation >= precision
+    and are counted as saturated.
     """
     if m.rows != m.cols:
         raise ValueError("padic_valuations expects a square matrix")
-    work = m.data.copy()
-    work.setflags(write=True)
-    vals, sat = _eliminate(work, m.p, m.precision)
-    return DivisorValuations(vals, sat)
+    return streaming_block_eliminate(m, (m.rows,))
 
-
-# ---------------------------------------------------------------------------
-# Streaming elimination for block lower triangular matrices
-# ---------------------------------------------------------------------------
 
 def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> DivisorValuations:
-    """padic_valuations for a block lower triangular matrix, one block row at
-    a time.
+    """Elementary-divisor p-valuations of a block lower triangular matrix mod
+    p**precision, eliminated one block row at a time.
 
     Block row i may be nonzero only in block columns j <= i (diagonal,
     subdiagonal, and strictly-lower fill).  Unit pivots are finalized as they
-    appear, so only a small carry of unit-free rows survives to the final
-    dense elimination; for random balanced diagonal blocks the carry stays
-    near the block size, giving roughly O(k * max(n_i)**3) scalar work.
-    Output is identical to padic_valuations on the assembled matrix.
+    appear, so only a small carry of unit-free rows survives the last block
+    row; for random balanced diagonal blocks the carry stays near the block
+    size, giving roughly O(k * max(n_i)**3) scalar work.  Every entry of that
+    carry is divisible by p: dividing it by p and lowering the modulus to
+    p**(N - v) turns the units found at level v into divisors of valuation v.
+    Rows still left at level N are saturated.  Elementary divisors do not
+    depend on the pivot order, so the result equals that of any two-sided
+    elimination of the assembled matrix.
     """
     sizes = [int(s) for s in block_sizes]
     if any(s <= 0 for s in sizes):
@@ -436,8 +382,7 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
             )
 
     p = m.p
-    precision = m.precision
-    q = p ** precision
+    q = p ** m.precision
     dtype = m.data.dtype
 
     active: list[int] = []      # global ids of columns without a unit pivot
@@ -460,26 +405,29 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
             y = (y - np.dot(x, pivot_rows)) % q
         carry = np.vstack([carry, y])
 
-        carry, pivot_rows, finalized = _finalize_units(
-            carry, pivot_rows, active, consumed, p, q
-        )
+        # pivot_rows is only read when a later block row arrives
+        upkeep = pivot_rows if i < k - 1 else None
+        carry, pivot_rows, finalized = _finalize_units(carry, p, q, upkeep, active, consumed)
         unit_pivots += finalized
 
-    if carry.shape[0] != carry.shape[1]:
-        raise AssertionError("carry must be square after the last block row")
-    if carry.shape[0]:
-        vals, sat = _eliminate(carry, p, precision)
-    else:
-        vals, sat = (), 0
-    return DivisorValuations(tuple(sorted((0,) * unit_pivots + vals)), sat)
+    valuations = [0] * unit_pivots
+    for v in range(1, m.precision):
+        if not carry.shape[0]:
+            break
+        q //= p
+        carry, _, finalized = _finalize_units(carry // p, p, q)
+        valuations.extend([v] * finalized)
+    return DivisorValuations(tuple(valuations), carry.shape[0])
 
 
-def _finalize_units(carry, pivot_rows, active, consumed, p, q):
-    """Split off unit pivots from the carry until none remain.
+def _finalize_units(carry, p, q, pivot_rows=None, active=None, consumed=None):
+    """Split off unit pivots from the carry mod q until none remain.
 
-    Each finalization removes one carry row and one active column, keeping
-    every stored row reduced to zero on all consumed columns (Gauss-Jordan
-    maintenance), so arriving rows need a single reduction pass.
+    Each finalization removes one carry row and one column.  Given
+    pivot_rows, the column's id also moves from active to consumed and every
+    stored pivot row is kept reduced to zero on all consumed columns
+    (Gauss-Jordan maintenance), so an arriving block row needs a single
+    reduction pass; without it that upkeep is skipped.
     """
     finalized = 0
     while carry.shape[0]:
@@ -493,11 +441,12 @@ def _finalize_units(carry, pivot_rows, active, consumed, p, q):
         colv = carry[:, c].copy()
         colv[r] = 0
         carry = (carry - np.outer(colv, pivrow)) % q
-        if pivot_rows.shape[0]:
-            pivot_rows = (pivot_rows - np.outer(pivot_rows[:, c], pivrow)) % q
         carry = np.delete(np.delete(carry, r, axis=0), c, axis=1)
-        pivot_rows = np.delete(pivot_rows, c, axis=1)
-        pivot_rows = np.vstack([pivot_rows, np.delete(pivrow, c)[None, :]])
-        consumed.append(active.pop(c))
+        if pivot_rows is not None:
+            if pivot_rows.shape[0]:
+                pivot_rows = (pivot_rows - np.outer(pivot_rows[:, c], pivrow)) % q
+            pivot_rows = np.delete(pivot_rows, c, axis=1)
+            pivot_rows = np.vstack([pivot_rows, np.delete(pivrow, c)[None, :]])
+            consumed.append(active.pop(c))
         finalized += 1
     return carry, pivot_rows, finalized

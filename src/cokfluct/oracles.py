@@ -496,14 +496,29 @@ def suite_chains(samples: int = 10 ** 4, seed: int = 7) -> list[tuple[str, bool,
     ]
 
 
+def _partitions(size: int, cap: int):
+    """Every partition of at most `size` with parts <= cap, () included."""
+    yield ()
+    for first in range(min(size, cap), 0, -1):
+        for rest in _partitions(size - first, first):
+            yield (first,) + rest
+
+
 def suite_decomposition() -> list[tuple[str, bool, str]]:
     checks = []
     ok = True
     detail = []
-    for G in (AbelianPGroup(2, (1,)), AbelianPGroup(2, (2,)), AbelianPGroup(2, (1, 1))):
+    # every abelian p-group with |G| <= 16 (24 groups), every k <= 6, every i
+    small_groups = [
+        AbelianPGroup(p, lam)
+        for p in (2, 3, 5, 7, 11, 13)
+        for lam in _partitions(4, 4)
+        if p ** sum(lam) <= 16
+    ]
+    for G in small_groups:
         for k in range(1, 7):
             counts = w0_chain_counts(G, k)
-            for i in range(ell(G) + 1):
+            for i in range(ell(G) + 2):
                 expected = chain_count(G, i) * math.comb(k, i)
                 got = counts.get(i, 0)
                 if got != expected:
@@ -511,7 +526,7 @@ def suite_decomposition() -> list[tuple[str, bool, str]]:
                     detail.append(f"G={G.label()} k={k} i={i}: {got} != {expected}")
     checks.append(
         (
-            "multichain count = c(G,i) * C(k,i), |G| <= 4, k <= 6",
+            f"multichain count = c(G,i) * C(k,i), {len(small_groups)} groups |G| <= 16, k <= 6",
             ok,
             "; ".join(detail) or "all equal",
         )

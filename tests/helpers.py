@@ -119,3 +119,8 @@ def random_elementary_ops(rng, rows: list[list[int]], ops: int, side: str) -> li
 
 def random_int_matrix(rng, n: int, lo: int = -9, hi: int = 9) -> list[list[int]]:
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def truncated_type(part, free, depth):
+    """Type of Gamma/p**depth Gamma from the exact type of Gamma."""
+    return tuple(sorted([depth] * free + [min(x, depth) for x in part], reverse=True))

@@ -6,7 +6,6 @@ finite-size proxies for limit statements, run at fixed seeds.  Criterion 5
 pins determinism across worker budgets.
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from cokfluct import (
     hom_count,
     run_experiment,
     verify_balanced_sums,
-    w0_chain_counts,
 )
 from cokfluct.oracles import SUITES
 from helpers import brute_hom_count
@@ -53,7 +51,7 @@ def timed(key):
 # ---------------------------------------------------------------------------
 # Criterion 1: exact identity suite (100% pass, exact arithmetic, < 60 s)
 #
-# 1a, 1b, 1d and 1e-uniform run the suites of `cokfluct verify`.
+# 1a, 1b, 1c, 1d and 1e-uniform run the suites of `cokfluct verify`.
 # ---------------------------------------------------------------------------
 
 def suite_line(name, checks):
@@ -97,22 +95,12 @@ def test_1c_chain_and_structure_identities():
                 for mu in partitions(3):
                     ok &= hom_count(lam, mu, p) == brute_hom_count(lam, mu, p)
 
-        # every abelian p-group with |G| <= 16, every k <= 6, every i
-        small_groups = [
-            AbelianPGroup(p, lam)
-            for p in (2, 3, 5, 7, 11, 13)
-            for lam in partitions(4)
-            if p ** sum(lam) <= 16
-        ]
-        for G in small_groups:
-            lmax = sum(G.lam)
-            for k in range(1, 7):
-                counts = w0_chain_counts(G, k)
-                for i in range(lmax + 2):
-                    ok &= counts.get(i, 0) == chain_count(G, i) * math.comb(k, i)
-    assert report_line(
-        "1c", ok, f"{len(small_groups)} groups for the multichain stratum count"
-    )
+        # multichain stratum counts: every abelian p-group with |G| <= 16,
+        # every k <= 6, every i <= ell(G) + 1
+        checks = SUITES["decomposition"]()
+    assert "24 groups |G| <= 16" in checks[0][0]
+    checks.append(("chain_count and hom_count spot checks", ok, "brute-force hom counts"))
+    assert suite_line("1c", checks)
 
 
 def test_1d_chain_inequality_10k():

@@ -141,6 +141,17 @@ class TestSimulate:
         cfg.write_text(json.dumps(raw))
         assert CliRunner().invoke(main, ["simulate", "--config", str(cfg)]).exit_code == 0
 
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_non_prime_p_exits_2(self, tmp_path, p):
+        cfg = make_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["ensemble"]["p"] = p
+        cfg.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: p must be prime, got {p}" in res.output
+        assert not (tmp_path / "run").exists()
+
     def test_zero_workers_exits_2(self, tmp_path):
         res = CliRunner().invoke(
             main, ["simulate", "--config", str(make_config(tmp_path)), "--workers", "0"]
@@ -193,6 +204,14 @@ class TestCompare:
         )
         assert res.exit_code == 0
         assert json.loads(res.output)["tv_distance"] == 0.0
+
+    @pytest.mark.parametrize("text", ["[]", '{"counts": []}'])
+    def test_malformed_report_exits_2(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        res = CliRunner().invoke(main, ["compare", str(path), str(path)])
+        assert res.exit_code == 2
+        assert "config error:" in res.output
 
     def test_mismatched_reports_exit_2(self, tmp_path):
         runner = CliRunner()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -20,6 +21,7 @@ from helpers import (
     random_elementary_ops,
     random_int_matrix,
     snf_via_minor_gcds,
+    truncated_type,
 )
 
 
@@ -28,6 +30,32 @@ def square_matrices(draw):
     n = draw(st.integers(1, 4))
     entry = st.integers(-10 ** 12, 10 ** 12)
     return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def block_lower_triangular(draw):
+    """(rows, block sizes, p) of a random block lower triangular matrix whose
+    diagonal blocks may be scaled by p, p**2 or 0, so that the divide-by-p
+    levels, saturation and free summands all occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    offs = [0, *itertools.accumulate(sizes)]
+    n = offs[-1]
+    rows = []
+    for bi, size in enumerate(sizes):
+        scale = draw(st.sampled_from([1, p, p * p, 0]))
+        for _ in range(size):
+            row = draw(st.lists(st.integers(-9, 9), min_size=offs[bi + 1], max_size=offs[bi + 1]))
+            rows.append(row[:offs[bi]] + [x * scale for x in row[offs[bi]:]] + [0] * (n - offs[bi + 1]))
+    return rows, sizes, p
+
+
+def assert_matches_exact(dv, rows, p, N):
+    """dv holds one valuation or saturated position per row, and its type
+    mod p**N is the exact type of cok(rows) truncated at N."""
+    assert len(dv.valuations) + dv.saturated_count == len(rows)
+    exact = truncated_type(*cokernel_partition(rows, p), N)
+    assert (N,) * dv.saturated_count + dv.partition() == exact
 
 
 class TestSnfDiagonal:
@@ -112,14 +140,11 @@ class TestInputForms:
     @settings(max_examples=100, deadline=None)
     @given(rows=square_matrices(), p=st.sampled_from([2, 3, 5]), depth=st.integers(1, 5))
     def test_residue_backends_match_exact_type(self, rows, p, depth):
-        part, free = cokernel_partition(rows, p)
         for N, dtype in ((depth, np.int64), (depth + 40, object)):
-            expected = tuple(sorted([N] * free + [min(x, N) for x in part], reverse=True))
             for form in (np.array(rows, dtype=np.int64), np.array(rows, dtype=object)):
                 m = reduce_matrix(form, p, N)
                 assert m.data.dtype == dtype
-                dv = padic_valuations(m)
-                assert (N,) * dv.saturated_count + dv.partition() == expected
+                assert_matches_exact(padic_valuations(m), rows, p, N)
 
 
 class TestBareissHelpers:
@@ -250,17 +275,15 @@ class TestPadicMatrix:
 
 class TestStreamingBlockEliminate:
     def test_k2_example_matches_oracle(self):
-        # assembled matrix [[2, 0], [1, 3]]
-        full = reduce_matrix([[2, 0], [1, 3]], 2, 16)
-        oracle = padic_valuations(full)
-        got = streaming_block_eliminate(full, [1, 1])
-        assert got == oracle
+        rows = [[2, 0], [1, 3]]
+        got = streaming_block_eliminate(reduce_matrix(rows, 2, 16), [1, 1])
+        assert_matches_exact(got, rows, 2, 16)
         assert got.partition() == (1,)
         assert got.saturated_count == 0
 
     def test_single_block_degenerate(self):
-        m = reduce_matrix([[6, 2], [4, 8]], 2, 16)
-        assert streaming_block_eliminate(m, [2]) == padic_valuations(m)
+        rows = [[6, 2], [4, 8]]
+        assert_matches_exact(streaming_block_eliminate(reduce_matrix(rows, 2, 16), [2]), rows, 2, 16)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_random_block_lower_triangular(self, p):
@@ -279,7 +302,16 @@ class TestStreamingBlockEliminate:
                         for c in range(offs[bj], offs[bj + 1]):
                             rows[r][c] = rng.randint(-9, 9)
             m = reduce_matrix(rows, p, 16)
-            assert streaming_block_eliminate(m, sizes) == padic_valuations(m)
+            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, 16)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_lower_triangular(), depth=st.integers(1, 5))
+    def test_matches_exact_type_on_both_backends(self, case, depth):
+        rows, sizes, p = case
+        for N, dtype in ((depth, np.int64), (depth + 40, object)):
+            m = reduce_matrix(rows, p, N)
+            assert m.data.dtype == dtype
+            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
 
     def test_saturation_passes_through(self):
         m = reduce_matrix([[2, 0], [0, 8]], 2, 2)

@@ -24,14 +24,10 @@ from cokfluct import (
 )
 from cokfluct.exact_linalg import rational_rank
 from cokfluct.experiments import working_depth
+from helpers import truncated_type
 
 Z2 = AbelianPGroup(2, (1,))
 Z4 = AbelianPGroup(2, (2,))
-
-
-def truncated_type(part, free, depth):
-    """Type of Gamma/p**depth Gamma from the exact type of Gamma."""
-    return tuple(sorted([depth] * free + [min(x, depth) for x in part], reverse=True))
 
 
 def exact_int_matrix(spec, trial):
