@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .ensembles import ConfigError, EnsembleSpec
+from .ensembles import ConfigError, EnsembleSpec, config_int
 from .experiments import (
     ExperimentReport,
     compare_ensembles,
@@ -85,7 +85,7 @@ class RunConfig:
             raise ConfigError("config needs a 'trials' count")
         try:
             groups = tuple(
-                AbelianPGroup(int(g["p"]), as_partition(g["lambda"]))
+                AbelianPGroup(config_int(g["p"], "group p"), as_partition(g["lambda"]))
                 for g in d.get("groups", [])
             )
             lambdas = tuple(as_partition(lam) for lam in d.get("lambdas", []))
@@ -94,12 +94,12 @@ class RunConfig:
         worker_budget(1)  # a malformed COKFLUCT_WORKERS is a configuration error
         return cls(
             ensemble=EnsembleSpec.from_dict(d["ensemble"]),
-            trials=int(d["trials"]),
+            trials=config_int(d["trials"], "trials"),
             groups=groups,
             lambdas=lambdas,
-            d=int(d.get("d", 3)),
+            d=config_int(d.get("d", 3), "d"),
             zeta=float(d.get("zeta", 0.0)),
-            workers=int(d.get("workers", 1)),
+            workers=config_int(d.get("workers", 1), "workers"),
             output_dir=str(d.get("output_dir", "run")),
             reproducible=bool(d.get("reproducible", False)),
         )

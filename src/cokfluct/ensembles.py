@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import PadicMatrix, det_bareiss, reduce_matrix
+from .exact_linalg import PadicMatrix, det_bareiss, reduce_matrix, residues
 from .pgroups import _is_prime
 
 __all__ = [
@@ -46,6 +46,14 @@ GENERATOR_ID = "numpy-PCG64(SeedSequence([master_seed, trial]))"
 
 class ConfigError(ValueError):
     """Invalid ensemble or experiment configuration."""
+
+
+def config_int(value, name: str) -> int:
+    """`value` if it is a JSON integer (an int, not a bool); a float, bool,
+    string or null is a ConfigError instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -201,15 +209,17 @@ class EntryDistribution:
         kind = d.get("kind")
         try:
             if kind == "uniform_mod":
-                return cls.uniform_mod(d["m"])
+                return cls.uniform_mod(config_int(d["m"], "m"))
             if kind == "bernoulli":
                 return cls.bernoulli(Fraction(d["q"]))
             if kind == "uniform_range":
-                return cls.uniform_range(d["low"], d["high"])
+                return cls.uniform_range(config_int(d["low"], "low"), config_int(d["high"], "high"))
             if kind == "finite_support":
-                return cls.finite_support([(v, Fraction(w)) for v, w in d["support"]])
+                return cls.finite_support(
+                    [(config_int(v, "support value"), Fraction(w)) for v, w in d["support"]]
+                )
             if kind == "constant":
-                return cls.constant(d["value"])
+                return cls.constant(config_int(d["value"], "value"))
         except KeyError as exc:
             raise ConfigError(f"distribution {kind!r} missing field {exc}") from exc
         raise ConfigError(f"unknown distribution kind {kind!r}")
@@ -296,17 +306,23 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
+        def optional_int(key):
+            return config_int(d[key], key) if d.get(key) is not None else None
+
         try:
+            sizes = d.get("block_sizes")
+            if sizes and not isinstance(sizes, (list, tuple)):
+                raise ConfigError(f"block_sizes must be a list of integers, got {sizes!r}")
             return cls(
-                p=int(d["p"]),
+                p=config_int(d["p"], "p"),
                 kind=d["kind"],
-                k=int(d["k"]),
+                k=config_int(d["k"], "k"),
                 A_dist=EntryDistribution.from_dict(d["A_dist"]),
-                master_seed=int(d["master_seed"]),
-                block_sizes=tuple(d["block_sizes"]) if d.get("block_sizes") else None,
-                n=int(d["n"]) if d.get("n") is not None else None,
+                master_seed=config_int(d["master_seed"], "master_seed"),
+                block_sizes=tuple(config_int(s, "block_sizes entry") for s in sizes) if sizes else None,
+                n=optional_int("n"),
                 B_dist=EntryDistribution.from_dict(d["B_dist"]) if d.get("B_dist") else None,
-                precision=int(d["precision"]) if d.get("precision") is not None else None,
+                precision=optional_int("precision"),
             )
         except KeyError as exc:
             raise ConfigError(f"ensemble spec missing field {exc}") from exc
@@ -316,20 +332,25 @@ class EnsembleSpec:
 # Draws and samplers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def draw_integers(spec: EnsembleSpec, trial: int) -> np.ndarray:
     """The integer draw of one trial, before any reduction: the assembled
     n x n int64 matrix of a block_triangular trial, the (k, n, n) int64
-    factor stack otherwise.
+    factor stack otherwise.  Read-only.
 
     Draw order is fixed (block trials: all A diagonal blocks, then all A
     subdiagonal blocks, then all B blocks; factor trials: one factor after
-    another), so the draw is a pure function of (master_seed, trial).
+    another), so the draw is a pure function of (master_seed, trial).  The
+    last draw is kept, so the samplers and determinant_blocks of one trial
+    share it.
     """
     if trial < 0:
         raise ValueError("trial must be >= 0")
     rng = trial_rng(spec.master_seed, trial)
     if spec.kind != "block_triangular":
-        return np.stack([spec.A_dist.sample(rng, (spec.n, spec.n)) for _ in range(spec.k)])
+        full = np.stack([spec.A_dist.sample(rng, (spec.n, spec.n)) for _ in range(spec.k)])
+        full.setflags(write=False)
+        return full
     sizes = spec.block_sizes
     k = spec.k
     offs = [0]
@@ -344,6 +365,7 @@ def draw_integers(spec: EnsembleSpec, trial: int) -> np.ndarray:
     for i in range(2, k):
         for j in range(i - 1):
             full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = spec.B_dist.sample(rng, (sizes[i], sizes[j]))
+    full.setflags(write=False)
     return full
 
 
@@ -376,7 +398,7 @@ def sample_product(spec: EnsembleSpec, trial: int, precision: int | None = None)
     # One reduction of the factors stacked as a kn x n matrix; its residue
     # dtype is safe for dots of length kn, so for the fold's dots of length n.
     stacked = reduce_matrix(ints.reshape(-1, spec.n), spec.p, N).data.reshape(ints.shape)
-    return PadicMatrix(functools.reduce(lambda a, b: np.dot(a, b) % q, stacked), spec.p, N)
+    return PadicMatrix(functools.reduce(lambda a, b: residues(np.dot(a, b), spec.p, q), stacked), spec.p, N)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:

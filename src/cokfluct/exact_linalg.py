@@ -1,9 +1,12 @@
 """Exact integer and p-adic linear algebra.
 
 Smith normal form over Z with arbitrary-precision integers, and one
-unit-pivot elimination kernel mod p**N for elementary-divisor p-valuations:
+elimination kernel mod p**N for elementary-divisor p-valuations:
 streaming_block_eliminate takes a block lower triangular matrix one block row
-at a time, and padic_valuations is its one-block case.
+at a time, and padic_valuations is its one-block case.  Each block row costs
+one Gauss-Jordan search over GF(p) for a maximal set of unit pivots (rows
+bit-packed into Python ints at p = 2) and a few GEMMs mod p**N that apply
+them.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
@@ -26,6 +29,7 @@ __all__ = [
     "padic_valuations",
     "streaming_block_eliminate",
     "reduce_matrix",
+    "residues",
 ]
 
 
@@ -93,7 +97,7 @@ def reduce_matrix(a, p: int, precision: int) -> PadicMatrix:
     q = p ** precision
     if q > 2 ** 62 and a.dtype != object:
         a = a.astype(object)
-    return PadicMatrix(a % q, p, precision)
+    return PadicMatrix(residues(a, p, q), p, precision)
 
 
 @dataclass(frozen=True)
@@ -353,13 +357,25 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
     p**precision, eliminated one block row at a time.
 
     Block row i may be nonzero only in block columns j <= i (diagonal,
-    subdiagonal, and strictly-lower fill).  Unit pivots are finalized as they
-    appear, so only a small carry of unit-free rows survives the last block
-    row; for random balanced diagonal blocks the carry stays near the block
-    size, giving roughly O(k * max(n_i)**3) scalar work.  Every entry of that
-    carry is divisible by p: dividing it by p and lowering the modulus to
-    p**(N - v) turns the units found at level v into divisors of valuation v.
-    Rows still left at level N are saturated.  Elementary divisors do not
+    subdiagonal, and strictly-lower fill).  Apart from the GF(p) search, each
+    arriving block row costs a fixed number of array operations, with no
+    per-pivot loop: one GEMM reduces it against the stored pivot rows and
+    appends it to the carry (the rows without a pivot yet); one Gauss-Jordan
+    search over GF(p) (_unit_pivots) finds a maximal set of unit pivots of
+    the carry, whose inverse mod p Newton iteration lifts to mod p**N in
+    about log2(N) GEMM pairs; three GEMMs then give the new pivot rows, the
+    Schur complement that becomes the next carry (every entry divisible by
+    p, since the pivot set is maximal mod p), and the stored pivot rows
+    reduced on the new pivot columns.  The search is a loop over the carry's
+    rows: at p = 2 a row is one Python int and meeting a pivot is one XOR,
+    so it costs O(rows * pivots) XORs; at odd p each row costs a few numpy
+    operations.  For random balanced diagonal blocks the carry stays near
+    the block size, so a block row costs O(n_i**3) scalar work in GEMMs.
+
+    After the last block row the carry is divided by p and the modulus
+    lowered to p**(N - v), one elimination step per level v, so the units
+    found at level v are divisors of valuation v.  Rows left once the carry
+    vanishes, or at level N, are saturated.  Elementary divisors do not
     depend on the pivot order, so the result equals that of any two-sided
     elimination of the assembled matrix.
     """
@@ -374,79 +390,150 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
     for s in sizes:
         offsets.append(offsets[-1] + s)
 
-    for i in range(k):
-        r0, r1 = offsets[i], offsets[i + 1]
-        if r1 < n and (m.data[r0:r1, r1:] != 0).any():
-            raise BlockStructureError(
-                f"block row {i + 1} has a nonzero block above the diagonal"
-            )
-
-    p = m.p
-    q = p ** m.precision
+    p, N = m.p, m.precision
+    q = p ** N
     dtype = m.data.dtype
 
-    active: list[int] = []      # global ids of columns without a unit pivot
-    consumed: list[int] = []    # global ids of columns consumed, pivot order
+    active = np.zeros(0, dtype=np.intp)     # global ids of carry columns
+    consumed = np.zeros(0, dtype=np.intp)   # global pivot column of each pivot row
     carry = np.zeros((0, 0), dtype=dtype)
-    pivot_rows = np.zeros((0, 0), dtype=dtype)  # coefficients on active cols
+    pivot_rows = np.zeros((0, 0), dtype=dtype)  # identity on consumed, stored on active
     unit_pivots = 0
 
     for i in range(k):
         r0, r1 = offsets[i], offsets[i + 1]
-        new_cols = list(range(r0, r1))
-        carry = np.hstack([carry, np.zeros((carry.shape[0], len(new_cols)), dtype=dtype)])
-        pivot_rows = np.hstack([pivot_rows, np.zeros((pivot_rows.shape[0], len(new_cols)), dtype=dtype)])
-        active.extend(new_cols)
-
-        block = np.array(m.data[r0:r1, :r1], dtype=dtype)
+        block = m.data[r0:r1]
+        if (block[:, r1:] != 0).any():
+            raise BlockStructureError(
+                f"block row {i + 1} has a nonzero block above the diagonal"
+            )
         y = block[:, active]
-        if consumed:
-            x = block[:, consumed]
-            y = (y - np.dot(x, pivot_rows)) % q
-        carry = np.vstack([carry, y])
+        if consumed.size:
+            y = residues(y - np.dot(block[:, consumed], pivot_rows), p, q)
+        # columns r0..r1 are new: zero in every earlier row and pivot row
+        c, a, s = carry.shape[0], active.size, r1 - r0
+        grown = np.zeros((c + s, a + s), dtype=dtype)
+        grown[:c, :a] = carry
+        grown[c:, :a] = y
+        grown[c:, a:] = block[:, r0:r1]
+        active = np.concatenate([active, np.arange(r0, r1)])
 
-        # pivot_rows is only read when a later block row arrives
-        upkeep = pivot_rows if i < k - 1 else None
-        carry, pivot_rows, finalized = _finalize_units(carry, p, q, upkeep, active, consumed)
-        unit_pivots += finalized
+        cols, w, carry = _eliminate_units(grown, p, N)
+        unit_pivots += cols.size
+        if i < k - 1:  # pivot_rows is only read when a later block row arrives
+            keep = np.ones(active.size, dtype=bool)
+            keep[cols] = False
+            padded = np.zeros((consumed.size, active.size), dtype=dtype)
+            padded[:, :a] = pivot_rows
+            pivot_rows = np.concatenate(
+                [residues(padded[:, keep] - np.dot(padded[:, cols], w), p, q), w]
+            )
+            consumed = np.concatenate([consumed, active[cols]])
+            active = active[keep]
 
     valuations = [0] * unit_pivots
-    for v in range(1, m.precision):
-        if not carry.shape[0]:
+    for v in range(1, N):
+        if not carry.any():  # empty, or every row left is saturated
             break
-        q //= p
-        carry, _, finalized = _finalize_units(carry // p, p, q)
-        valuations.extend([v] * finalized)
+        cols, _, carry = _eliminate_units(carry // p, p, N - v)
+        valuations.extend([v] * cols.size)
     return DivisorValuations(tuple(valuations), carry.shape[0])
 
 
-def _finalize_units(carry, p, q, pivot_rows=None, active=None, consumed=None):
-    """Split off unit pivots from the carry mod q until none remain.
+def residues(a, p: int, q: int):
+    """Residues in [0, q) of an integer array (int64 or object) or int, for
+    q a power of p: a bit mask at p = 2, which is also right for negative
+    int64 and Python ints, `%` otherwise."""
+    return a & (q - 1) if p == 2 else a % q
 
-    Each finalization removes one carry row and one column.  Given
-    pivot_rows, the column's id also moves from active to consumed and every
-    stored pivot row is kept reduced to zero on all consumed columns
-    (Gauss-Jordan maintenance), so an arriving block row needs a single
-    reduction pass; without it that upkeep is skipped.
+
+def _eliminate_units(carry, p: int, precision: int):
+    """One elimination step mod q = p**precision on a carry of residues.
+
+    Finds a maximal set of unit pivots (rows R, columns K, with A = carry[R, K]
+    invertible mod p), lifts A**-1 to mod q, and returns (K, W, S): the new
+    pivot rows W = A**-1 carry[R, ~K] on the columns left and the Schur
+    complement S = carry[~R, ~K] - carry[~R, K] W, which is 0 mod p."""
+    q = p ** precision
+    rows, cols, inv = _unit_pivots(residues(carry, p, p), p)
+    if not cols.size:
+        return cols, carry[:0], carry
+    top = carry[rows]
+    a = top[:, cols]
+    x = inv.astype(carry.dtype)
+    two = 2 * np.identity(cols.size, dtype=carry.dtype)
+    lifted = 1
+    while lifted < precision:  # Newton: x <- x (2I - a x) doubles the precision
+        x = residues(np.dot(x, residues(two - np.dot(a, x), p, q)), p, q)
+        lifted *= 2
+    keep_rows = np.ones(carry.shape[0], dtype=bool)
+    keep_rows[rows] = False
+    keep_cols = np.ones(carry.shape[1], dtype=bool)
+    keep_cols[cols] = False
+    w = residues(np.dot(x, top[:, keep_cols]), p, q)
+    rest = carry[keep_rows]
+    schur = residues(rest[:, keep_cols] - np.dot(rest[:, cols], w), p, q)
+    return cols, w, schur
+
+
+def _unit_pivots(bits, p: int):
+    """Gauss-Jordan over GF(p) on a matrix of residues mod p, row by row.
+
+    Returns (R, K, inv): the rows R that gave pivots, their pivot columns K,
+    and inv = A**-1 mod p for A = bits[R, K] (row j of inv belongs to column
+    K[j], column i to row R[i]).  Each row carries its own identity row, so
+    after reduction that part of a pivot row is the combination of carry
+    rows it is, i.e. a row of A**-1.  At p = 2 a row is a Python int, bit j
+    for column j and bit c + i for the identity, reduced with XOR, so any
+    width works; a new row meets only the pivots whose columns it hits.
     """
-    finalized = 0
-    while carry.shape[0]:
-        units = (carry % p) != 0
-        if not units.any():
-            break
-        flat = int(np.argmax(units))
-        r, c = divmod(flat, carry.shape[1])
-        uinv = pow(int(carry[r, c]), -1, q)
-        pivrow = (carry[r] * uinv) % q
-        colv = carry[:, c].copy()
-        colv[r] = 0
-        carry = (carry - np.outer(colv, pivrow)) % q
-        carry = np.delete(np.delete(carry, r, axis=0), c, axis=1)
-        if pivot_rows is not None:
-            if pivot_rows.shape[0]:
-                pivot_rows = (pivot_rows - np.outer(pivot_rows[:, c], pivrow)) % q
-            pivot_rows = np.delete(pivot_rows, c, axis=1)
-            pivot_rows = np.vstack([pivot_rows, np.delete(pivrow, c)[None, :]])
-            consumed.append(active.pop(c))
-        finalized += 1
-    return carry, pivot_rows, finalized
+    r, c = bits.shape
+    if p == 2:
+        packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+        width = packed.shape[1]
+        buf = packed.tobytes()
+        mask = (1 << c) - 1
+        pivots: dict[int, int] = {}     # pivot column bit -> reduced row
+        hit_mask = 0                    # OR of the pivot column bits
+        rows = []
+        for i in range(r):
+            v = int.from_bytes(buf[i * width:(i + 1) * width], "little") | 1 << (c + i)
+            hits = v & hit_mask         # reduced pivots leave other pivot bits alone
+            while hits:
+                low = hits & -hits
+                v ^= pivots[low]
+                hits ^= low
+            low = v & mask
+            if low:
+                low &= -low
+                for key, piv in pivots.items():
+                    if piv & low:
+                        pivots[key] = piv ^ v
+                pivots[low] = v
+                hit_mask |= low
+                rows.append(i)
+        nbytes = (r + 7) // 8
+        track = b"".join((v >> c).to_bytes(nbytes, "little") for v in pivots.values())
+        combos = np.unpackbits(
+            np.frombuffer(track, dtype=np.uint8).reshape(len(pivots), nbytes),
+            axis=1, bitorder="little",
+        )
+        cols = [key.bit_length() - 1 for key in pivots]
+    else:
+        aug = np.concatenate([bits, np.identity(r, dtype=bits.dtype)], axis=1)
+        piv = aug[:0]
+        cols, rows = [], []
+        for i in range(r):
+            v = aug[i]
+            if cols:
+                v = (v - np.dot(v[cols], piv)) % p
+            nonzero = np.flatnonzero(v[:c])
+            if nonzero.size:
+                col = int(nonzero[0])
+                v = v * pow(int(v[col]), -1, p) % p
+                piv = np.concatenate([(piv - np.outer(piv[:, col], v)) % p, v[None, :]])
+                cols.append(col)
+                rows.append(i)
+        combos = piv[:, c:]
+    rows = np.array(rows, dtype=np.intp)
+    return rows, np.array(cols, dtype=np.intp), combos[:, rows]

@@ -39,6 +39,7 @@ from .ensembles import (
     ConfigError,
     EnsembleSpec,
     build_bidiagonal_embedding,
+    config_int,
     determinant_blocks,
     product_factors,
     sample_block_matrix,
@@ -148,13 +149,13 @@ class ExperimentReport:
         counts = d["counts"]
         return cls(
             spec=EnsembleSpec.from_dict(d["spec"]),
-            trials=int(d["trials"]),
-            d=int(d["d"]),
+            trials=config_int(d["trials"], "trials"),
+            d=config_int(d["d"], "d"),
             zeta=float(d["zeta"]),
-            center=int(d["center"]),
-            included_count=int(counts["included"]),
-            free_rank_count=int(counts["free_rank"]),
-            saturated_count=int(counts["saturated"]),
+            center=config_int(d["center"], "center"),
+            included_count=config_int(counts["included"], "counts.included"),
+            free_rank_count=config_int(counts["free_rank"], "counts.free_rank"),
+            saturated_count=config_int(counts["saturated"], "counts.saturated"),
             hom_moments={k: MomentEstimate(**v) for k, v in d["hom_moments"].items()},
             l_moments={k: MomentEstimate(**v) for k, v in d["l_moments"].items()},
             centered_counts={

@@ -152,6 +152,40 @@ class TestSimulate:
         assert f"config error: p must be prime, got {p}" in res.output
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("ensemble", "p"), 2.7),
+            (("ensemble", "k"), 2.9),
+            (("ensemble", "k"), True),
+            (("ensemble", "master_seed"), "12345"),
+            (("ensemble", "block_sizes"), [8, 8.0, 8, 8]),
+            (("ensemble", "block_sizes"), 8),
+            (("ensemble", "A_dist", "low"), -100.5),
+            (("trials",), 10.8),
+            (("d",), 1.0),
+            (("workers",), True),
+            (("groups",), [{"p": 2.0, "lambda": [1]}]),
+            (("ensemble",), {
+                "p": 2, "kind": "matrix_product", "k": 3, "n": 4.5,
+                "A_dist": {"kind": "uniform_mod", "m": 2}, "master_seed": 1,
+            }),
+        ],
+    )
+    def test_non_integer_field_exits_2(self, tmp_path, path, value):
+        cfg = make_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        *outer, key = path
+        target = raw
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        cfg.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "config error:" in res.output and "integer" in res.output
+        assert not (tmp_path / "run").exists()
+
     def test_zero_workers_exits_2(self, tmp_path):
         res = CliRunner().invoke(
             main, ["simulate", "--config", str(make_config(tmp_path)), "--workers", "0"]
@@ -212,6 +246,19 @@ class TestCompare:
         res = CliRunner().invoke(main, ["compare", str(path), str(path)])
         assert res.exit_code == 2
         assert "config error:" in res.output
+
+    @pytest.mark.parametrize("field,value", [("trials", 100.5), ("d", True)])
+    def test_non_integer_report_field_exits_2(self, tmp_path, field, value):
+        runner = CliRunner()
+        cfg = make_config(tmp_path, trials=20)
+        runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        path = tmp_path / "x" / "report.json"
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        res = runner.invoke(main, ["compare", str(path), str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: {field} must be an integer" in res.output
 
     def test_mismatched_reports_exit_2(self, tmp_path):
         runner = CliRunner()

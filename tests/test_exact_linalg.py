@@ -15,7 +15,7 @@ from cokfluct import (
     snf_diagonal,
     streaming_block_eliminate,
 )
-from cokfluct.exact_linalg import det_bareiss, dets_vanish_mod, rational_rank
+from cokfluct.exact_linalg import det_bareiss, dets_vanish_mod, rational_rank, residues
 from helpers import (
     det_cofactor,
     random_elementary_ops,
@@ -50,11 +50,33 @@ def block_lower_triangular(draw):
     return rows, sizes, p
 
 
-def assert_matches_exact(dv, rows, p, N):
+def unimodular_times_diagonal(rng, sizes, diagonal):
+    """Rows of M = U diag(diagonal) V for random U, V that are block lower
+    triangular on `sizes` with unit triangular diagonal blocks, so M is
+    block lower triangular, unimodularly equivalent to the diagonal, and its
+    exact Smith form is that of the diagonal, whatever the size."""
+    offs = [0, *itertools.accumulate(sizes)]
+    n = offs[-1]
+    factors = []
+    for upper in (False, True):
+        f = np.zeros((n, n), dtype=object)
+        for bi in range(len(sizes)):
+            for r in range(offs[bi], offs[bi + 1]):
+                for c in range(offs[bi + 1]):
+                    if c < offs[bi] or (c > r if upper else c < r):
+                        f[r, c] = rng.randint(-2, 2)
+                f[r, r] = 1
+        factors.append(f)
+    u, v = factors
+    return np.dot(np.dot(u, np.diag(np.array(diagonal, dtype=object))), v).tolist()
+
+
+def assert_matches_exact(dv, rows, p, N, smith=None):
     """dv holds one valuation or saturated position per row, and its type
-    mod p**N is the exact type of cok(rows) truncated at N."""
+    mod p**N is the exact type of cok(rows) truncated at N; `smith`, when
+    given, is a matrix known to be equivalent to rows, e.g. its Smith form."""
     assert len(dv.valuations) + dv.saturated_count == len(rows)
-    exact = truncated_type(*cokernel_partition(rows, p), N)
+    exact = truncated_type(*cokernel_partition(rows if smith is None else smith, p), N)
     assert (N,) * dv.saturated_count + dv.partition() == exact
 
 
@@ -272,6 +294,19 @@ class TestPadicMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 0
 
+    @pytest.mark.parametrize("p,N", [(2, 1), (2, 3), (2, 62), (2, 90), (3, 4), (5, 30)])
+    def test_residues_match_modulo(self, p, N):
+        # the p = 2 bit mask must agree with % on negative int64 and on
+        # Python ints beyond int64
+        q = p ** N
+        values = [-2 ** 62, -q - 1, -q, -7, -1, 0, 1, 7, q - 1, q, 2 ** 62, -(10 ** 30), 10 ** 30 + 3]
+        big = np.array(values, dtype=object)
+        assert residues(big, p, q).tolist() == [v % q for v in values]
+        if q <= 2 ** 62:
+            small = np.array(values[:-2], dtype=np.int64)
+            assert residues(small, p, q).dtype == np.int64
+            assert residues(small, p, q).tolist() == [v % q for v in values[:-2]]
+
 
 class TestStreamingBlockEliminate:
     def test_k2_example_matches_oracle(self):
@@ -312,6 +347,23 @@ class TestStreamingBlockEliminate:
             m = reduce_matrix(rows, p, N)
             assert m.data.dtype == dtype
             assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+
+    @pytest.mark.parametrize("sizes", [(70,), (40, 40)])
+    def test_wide_carry_matches_exact_type(self, sizes):
+        # at p = 2 a carry row wider than 63 columns spans several machine
+        # words; most divisors are even, so the carry stays wide through the
+        # block rows and the divide-by-2 levels
+        rng = random.Random(sum(sizes))
+        diagonal = [
+            rng.choice([1, 3]) * 2 ** v if v is not None else 0
+            for v in (rng.choice([0, 1, 1, 2, 3, 6, None]) for _ in range(sum(sizes)))
+        ]
+        rows = unimodular_times_diagonal(rng, sizes, diagonal)
+        smith = np.diag(np.array(diagonal, dtype=object))
+        for N, dtype in ((5, np.int64), (45, object)):
+            m = reduce_matrix(np.array(rows, dtype=object), 2, N)
+            assert m.data.dtype == dtype
+            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, 2, N, smith)
 
     def test_saturation_passes_through(self):
         m = reduce_matrix([[2, 0], [0, 8]], 2, 2)

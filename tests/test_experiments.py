@@ -80,6 +80,32 @@ class TestRunTrial:
         rec = free[0]
         assert rec.partition == (3,) and rec.precision_used == 3
 
+    @pytest.mark.parametrize("kind", ["block_triangular", "matrix_product", "bidiagonal_embedding"])
+    def test_one_draw_per_trial(self, monkeypatch, kind):
+        # a saturated trial's singularity certificate reuses the trial's draw
+        from cokfluct import ensembles, experiments
+
+        shape = (
+            dict(block_sizes=(3, 3, 3), B_dist=EntryDistribution.uniform_range(-9, 9))
+            if kind == "block_triangular" else dict(n=3)
+        )
+        spec = EnsembleSpec(
+            p=2, kind=kind, k=3, A_dist=EntryDistribution.uniform_range(-3, 3),
+            master_seed=8, **shape,
+        )
+        draws, certificates = [], []
+        rng, blocks = ensembles.trial_rng, experiments.determinant_blocks
+        monkeypatch.setattr(ensembles, "trial_rng", lambda *a: draws.append(a) or rng(*a))
+        monkeypatch.setattr(
+            experiments, "determinant_blocks", lambda *a: certificates.append(a) or blocks(*a)
+        )
+        ensembles.draw_integers.cache_clear()
+        for t in range(10):
+            run_trial(spec, t, 1)
+            assert len(draws) == t + 1
+        assert certificates, "depth 1 should saturate some trial"
+        assert not draw_integers(spec, 9).flags.writeable
+
     def test_block_trial(self):
         # exact SNF truncated at the working depth, and in full at a depth
         # above every divisor valuation
