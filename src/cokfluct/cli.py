@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .ensembles import ConfigError, EnsembleSpec, config_int
+from .ensembles import ConfigError, EnsembleSpec, config_int, config_object
 from .experiments import (
     ExperimentReport,
     compare_ensembles,
@@ -83,14 +83,21 @@ class RunConfig:
             raise ConfigError("config needs an 'ensemble' object")
         if "trials" not in d:
             raise ConfigError("config needs a 'trials' count")
+
+        def partition(parts):
+            return as_partition(config_int(x, "partition part") for x in parts)
+
         try:
             groups = tuple(
-                AbelianPGroup(config_int(g["p"], "group p"), as_partition(g["lambda"]))
+                AbelianPGroup(config_int(g["p"], "group p"), partition(g["lambda"]))
                 for g in d.get("groups", [])
             )
-            lambdas = tuple(as_partition(lam) for lam in d.get("lambdas", []))
+            lambdas = tuple(partition(lam) for lam in d.get("lambdas", []))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad groups/lambdas: {exc}") from exc
+        zeta = d.get("zeta", 0.0)
+        if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
+            raise ConfigError(f"zeta must be a number, got {zeta!r}")
         worker_budget(1)  # a malformed COKFLUCT_WORKERS is a configuration error
         return cls(
             ensemble=EnsembleSpec.from_dict(d["ensemble"]),
@@ -98,7 +105,7 @@ class RunConfig:
             groups=groups,
             lambdas=lambdas,
             d=config_int(d.get("d", 3), "d"),
-            zeta=float(d.get("zeta", 0.0)),
+            zeta=float(zeta),
             workers=config_int(d.get("workers", 1), "workers"),
             output_dir=str(d.get("output_dir", "run")),
             reproducible=bool(d.get("reproducible", False)),
@@ -165,7 +172,7 @@ def simulate(config_path, trials, seed, out_dir, workers, reproducible):
     try:
         if config_path is None:
             raise ConfigError("simulate needs --config")
-        raw = json.loads(Path(config_path).read_text())
+        raw = config_object(json.loads(Path(config_path).read_text()), "config")
         if trials is not None:
             raw["trials"] = trials
         if workers is not None:
@@ -174,8 +181,8 @@ def simulate(config_path, trials, seed, out_dir, workers, reproducible):
             raw["output_dir"] = str(out_dir)
         if reproducible:
             raw["reproducible"] = True
-        if seed is not None:
-            raw.setdefault("ensemble", {})["master_seed"] = seed
+        if seed is not None and isinstance(raw.setdefault("ensemble", {}), dict):
+            raw["ensemble"]["master_seed"] = seed  # a non-object is from_dict's error
         config = RunConfig.from_dict(raw)
     except (ConfigError, json.JSONDecodeError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import PadicMatrix, det_bareiss, reduce_matrix, residues
+from .exact_linalg import PadicMatrix, det_bareiss, product_mod, reduce_matrix
 from .pgroups import _is_prime
 
 __all__ = [
@@ -54,6 +54,24 @@ def config_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def config_object(value, name: str) -> dict:
+    """`value` if it is a JSON object; any other JSON value is a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def config_fraction(value, name: str) -> Fraction:
+    """An exact probability from a JSON number or a string such as "1/3"; a
+    bool, null or malformed string is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{name} must be a number or a fraction string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number or a fraction string, got {value!r}") from exc
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -206,17 +224,18 @@ class EntryDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EntryDistribution":
-        kind = d.get("kind")
+        kind = config_object(d, "distribution").get("kind")
         try:
             if kind == "uniform_mod":
                 return cls.uniform_mod(config_int(d["m"], "m"))
             if kind == "bernoulli":
-                return cls.bernoulli(Fraction(d["q"]))
+                return cls.bernoulli(config_fraction(d["q"], "q"))
             if kind == "uniform_range":
                 return cls.uniform_range(config_int(d["low"], "low"), config_int(d["high"], "high"))
             if kind == "finite_support":
                 return cls.finite_support(
-                    [(config_int(v, "support value"), Fraction(w)) for v, w in d["support"]]
+                    [(config_int(v, "support value"), config_fraction(w, "support weight"))
+                     for v, w in d["support"]]
                 )
             if kind == "constant":
                 return cls.constant(config_int(d["value"], "value"))
@@ -306,6 +325,8 @@ class EnsembleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
+        config_object(d, "ensemble")
+
         def optional_int(key):
             return config_int(d[key], key) if d.get(key) is not None else None
 
@@ -390,15 +411,11 @@ def product_factors(spec: EnsembleSpec, trial: int, precision: int | None = None
 
 
 def sample_product(spec: EnsembleSpec, trial: int, precision: int | None = None) -> PadicMatrix:
-    """A_1 A_2 ... A_k reduced mod p**N, folded left to right."""
+    """A_1 A_2 ... A_k reduced mod p**N by exact_linalg.product_mod: a
+    pairwise tree of batched products, in float64 while that is exact."""
     _require_factor_kind(spec, "sample_product")
     N = precision if precision is not None else spec.working_precision()
-    q = spec.p ** N
-    ints = draw_integers(spec, trial)
-    # One reduction of the factors stacked as a kn x n matrix; its residue
-    # dtype is safe for dots of length kn, so for the fold's dots of length n.
-    stacked = reduce_matrix(ints.reshape(-1, spec.n), spec.p, N).data.reshape(ints.shape)
-    return PadicMatrix(functools.reduce(lambda a, b: residues(np.dot(a, b), spec.p, q), stacked), spec.p, N)
+    return PadicMatrix(product_mod(draw_integers(spec, trial), spec.p, spec.p ** N), spec.p, N)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:

@@ -10,6 +10,15 @@ them.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
+
+Two batched routines serve stacks of square matrices: product_mod multiplies
+a stack mod q by a pairwise tree of np.matmul calls, and dets_vanish_mod
+tells which determinants vanish mod a word-size prime.  Both compute in
+float64 wherever every intermediate is an integer below 2**53, so the BLAS
+arithmetic is exact integer arithmetic (word-size prime fields in floating
+point, as in FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008);
+residues are then kept symmetric, |r| <= q // 2 + 1, which doubles the
+largest modulus the bound admits.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ __all__ = [
     "streaming_block_eliminate",
     "reduce_matrix",
     "residues",
+    "product_mod",
 ]
 
 
@@ -37,11 +47,13 @@ class BlockStructureError(ValueError):
     """A block claimed by the lower triangular layout is above the diagonal."""
 
 
-def residue_dtype(p: int, precision: int, dim: int):
-    """Array dtype for residues mod p**precision with `dim`-length dots:
-    int64 when every intermediate (a dot of at most `dim` products of two
-    residues) fits exactly, Python ints otherwise."""
-    q = p ** precision
+FLOAT_EXACT = 2 ** 52  # |x| below this keeps _symmetric(x, q) within the integers float64 holds (< 2**53)
+
+
+def residue_dtype(q: int, dim: int):
+    """Array dtype for residues mod q with `dim`-length dots: int64 when
+    every intermediate (a dot of at most `dim` products of two residues)
+    fits exactly, Python ints otherwise."""
     return np.int64 if dim * (q - 1) * (q - 1) < 2 ** 62 else object
 
 
@@ -65,7 +77,7 @@ class PadicMatrix:
         check = arr.astype(object) if (arr.dtype != object and q > np.iinfo(np.int64).max) else arr
         if not ((check >= 0) & (check < q)).all():
             raise ValueError("entries must lie in [0, p**precision)")
-        arr = arr.astype(residue_dtype(p, precision, max(arr.shape)), copy=True)
+        arr = arr.astype(residue_dtype(q, max(arr.shape)), copy=True)
         arr.setflags(write=False)
         self.rows, self.cols = arr.shape
         self.p = p
@@ -291,26 +303,91 @@ def rational_rank(m) -> int:
     return rank
 
 
-def dets_vanish_mod(blocks: np.ndarray, prime: int) -> np.ndarray:
-    """For a (b, n, n) stack of integer matrices, whether each determinant
-    is 0 mod `prime`, by one batched elimination over GF(prime).
+def dets_vanish_mod(blocks, prime: int) -> np.ndarray:
+    """For a (b, m, m) stack of integer matrices, whether each determinant
+    is 0 mod `prime`.
 
-    Rows are combined as piv * row_i - a_it * row_t, which scales a
-    determinant only by nonzero pivots, so no inverses are needed; with
-    prime < 2**31 every product fits int64."""
-    a = np.asarray(blocks, dtype=np.int64) % prime
-    b, n, _ = a.shape
+    det(B_1 ... B_b) = det(B_1) ... det(B_b) and GF(prime) is a field, so
+    one determinant of the product (product_mod) screens the whole stack:
+    when it is nonzero, no block's determinant vanishes.  Only when it
+    vanishes, or for one block, does the batched elimination run on every
+    block.  The elimination keeps float64 symmetric residues and combines
+    rows as piv * row_i - a_it * row_t, which scales a determinant only by
+    nonzero pivots, so no inverses are needed.  prime < 2**26 keeps that
+    combination, at most 2 (prime // 2 + 1)**2 in absolute value, below
+    2**52, so it is exact; a residue is then 0 exactly when the entry is
+    0 mod prime, which is what the pivot search tests."""
+    if not 2 <= prime < 2 ** 26:
+        raise ValueError(f"dets_vanish_mod needs a prime below 2**26, got {prime}")
+    blocks = np.asarray(blocks)
+    if len(blocks) > 1 and not _vanish_mod(product_mod(blocks, prime, prime)[None], prime)[0]:
+        return np.zeros(len(blocks), dtype=bool)
+    return _vanish_mod(blocks, prime)
+
+
+def _vanish_mod(blocks, prime: int) -> np.ndarray:
+    """Batched elimination over GF(prime) of a (b, m, m) integer stack in
+    float64 symmetric residues: whether each determinant vanishes."""
+    a = _float_residues(blocks, prime, prime)
+    b, m, _ = a.shape
     vanish = np.zeros(b, dtype=bool)
     idx = np.arange(b)
-    for t in range(n):
+    for t in range(m):
         nonzero = a[:, t:, t] != 0
         vanish |= ~nonzero.any(axis=1)
         r = t + np.argmax(nonzero, axis=1)
         a[idx, t], a[idx, r] = a[idx, r], a[idx, t].copy()
         piv = a[:, t, t, None, None]
         below = a[:, t + 1:, t, None]
-        a[:, t + 1:, t:] = (a[:, t + 1:, t:] * piv - below * a[:, None, t, t:]) % prime
+        a[:, t + 1:, t:] = _symmetric(a[:, t + 1:, t:] * piv - below * a[:, None, t, t:], prime)
     return vanish
+
+
+def product_mod(stack, p: int, q: int) -> np.ndarray:
+    """stack[0] @ stack[1] @ ... mod q, for a (b, m, m) integer stack (int64
+    or object) and q a power of p; residues in [0, q), int64 or object.
+
+    A pairwise tree of batched np.matmul calls: each level multiplies
+    neighbouring pairs in one call and carries an odd last matrix up, so
+    the order of the factors, and by associativity every residue, is that
+    of a left fold.  The tree runs in float64 when m (q // 2 + 1)**2 <
+    2**52: symmetric residues then bound every dot below 2**52, which
+    float64 holds exactly, and so the next reduction stays exact too.
+    Otherwise it runs in residue_dtype (int64 or Python ints) with
+    `residues`."""
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
+        raise ValueError("need a (b, m, m) stack of one or more square matrices")
+    m = stack.shape[1]
+    in_float = m * (q // 2 + 1) ** 2 < FLOAT_EXACT
+    if in_float:
+        a = _float_residues(stack, p, q)
+    else:
+        dtype = residue_dtype(q, m)
+        a = residues(stack.astype(object) if dtype is object else stack, p, q).astype(dtype)
+    while len(a) > 1:
+        pairs = np.matmul(a[0:-1:2], a[1::2])
+        pairs = _symmetric(pairs, q) if in_float else residues(pairs, p, q)
+        a = np.concatenate([pairs, a[-1:]]) if len(a) % 2 else pairs
+    return np.mod(a[0], q).astype(np.int64) if in_float else a[0]
+
+
+def _symmetric(x: np.ndarray, q: int) -> np.ndarray:
+    """x - q rint(x / q) for a float64 array of integers |x| < 2**52: a
+    residue of x mod q with |r| <= q // 2 + 1.  The quotient x * (1 / q)
+    rounds twice, so it is off from x / q by less than 1 / q and rint may
+    miss the nearest integer by one only within 1 / q of a half; every other
+    intermediate is an integer below 2**53, hence exact."""
+    return x - q * np.rint(x * (1.0 / q))
+
+
+def _float_residues(a, p: int, q: int) -> np.ndarray:
+    """float64 symmetric residues mod q of an integer array; entries outside (-2**52, 2**52), or Python ints, are reduced with
+    `residues` first."""
+    a = np.asarray(a)
+    if a.dtype == object or (a.size and (a.min() <= -FLOAT_EXACT or a.max() >= FLOAT_EXACT)):
+        a = residues(a, p, q)
+    return _symmetric(a.astype(np.float64), q)
 
 
 def cokernel_partition(m, p: int) -> CokernelPartition:

@@ -75,7 +75,7 @@ __all__ = [
     "total_variation",
 ]
 
-CERTIFICATE_PRIME = 1_000_003  # below 2**31, so residue products fit int64
+CERTIFICATE_PRIME = 1_000_003  # below 2**26, so dets_vanish_mod computes exactly in float64
 WORKERS_ENV_VAR = "COKFLUCT_WORKERS"
 BOOTSTRAP_TAG = 0xB007
 

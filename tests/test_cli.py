@@ -186,6 +186,42 @@ class TestSimulate:
         assert "config error:" in res.output and "integer" in res.output
         assert not (tmp_path / "run").exists()
 
+    def test_non_object_config_exits_2(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        for extra in ([], ["--seed", "3", "--trials", "2"]):
+            res = CliRunner().invoke(main, ["simulate", "--config", str(path), *extra])
+            assert res.exit_code == 2, res.output
+            assert "config error: config must be a JSON object" in res.output
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("ensemble",), [], "ensemble must be a JSON object"),
+            (("ensemble", "A_dist"), 5, "distribution must be a JSON object"),
+            (("zeta",), None, "zeta must be a number"),
+            (("ensemble", "A_dist"), {"kind": "bernoulli", "q": None}, "q must be a number"),
+            (("ensemble", "A_dist"), {"kind": "bernoulli", "q": "1/0"}, "q must be a number"),
+            (("lambdas",), [[1.5]], "must be an integer, got 1.5"),
+            (("groups",), [{"p": 2, "lambda": [True]}], "must be an integer, got True"),
+        ],
+        ids=["ensemble-list", "A_dist-5", "zeta-null", "q-null", "q-1/0", "lambdas-1.5", "group-lambda-true"],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, path, value, message):
+        cfg = make_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        *outer, key = path
+        target = raw
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        cfg.write_text(json.dumps(raw))
+        for extra in ([], ["--seed", "3"]):
+            res = CliRunner().invoke(main, ["simulate", "--config", str(cfg), *extra])
+            assert res.exit_code == 2, res.output
+            assert "config error:" in res.output and message in res.output
+        assert not (tmp_path / "run").exists()
+
     def test_zero_workers_exits_2(self, tmp_path):
         res = CliRunner().invoke(
             main, ["simulate", "--config", str(make_config(tmp_path)), "--workers", "0"]

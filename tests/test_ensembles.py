@@ -238,8 +238,8 @@ class TestProductSampler:
 
     @pytest.mark.parametrize("precision", [16, 32, 63, 128])
     def test_grouped_fold_equals_naive_fold(self, precision):
-        # sample_product's modular fold (int64 residues up to 2**16 here,
-        # object residues from 2**32) must equal a left fold over Python ints
+        # sample_product's product tree (float64 residues at 2**16 here,
+        # Python ints from 2**32) must equal a left fold over Python ints
         # reduced after every product
         spec = self.prod_spec(k=12, n=4, A_dist=EntryDistribution.uniform_range(-100, 100))
         q = 2 ** precision

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -15,7 +16,8 @@ from cokfluct import (
     snf_diagonal,
     streaming_block_eliminate,
 )
-from cokfluct.exact_linalg import det_bareiss, dets_vanish_mod, rational_rank, residues
+from cokfluct import exact_linalg
+from cokfluct.exact_linalg import det_bareiss, dets_vanish_mod, product_mod, rational_rank, residues
 from helpers import (
     det_cofactor,
     random_elementary_ops,
@@ -202,6 +204,119 @@ class TestDetsVanishMod:
         # det = 1_000_003 * 5, entries far beyond the prime
         m = np.array([[[1_000_003, 7 * 10 ** 12], [0, 5]], [[1, 2], [3, 4]]])
         assert dets_vanish_mod(m, 1_000_003).tolist() == [True, False]
+
+    @staticmethod
+    def nonsingular_stack(b, n, prime, seed):
+        rng = random.Random(seed)
+        mats = []
+        while len(mats) < b:
+            m = random_int_matrix(rng, n, -100, 100)
+            if det_bareiss(m) % prime:
+                mats.append(m)
+        return mats
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """Shapes of the stacks handed to the batched elimination."""
+        shapes = []
+        real = exact_linalg._vanish_mod
+
+        def spy(blocks, prime):
+            shapes.append(np.shape(blocks))
+            return real(blocks, prime)
+
+        monkeypatch.setattr(exact_linalg, "_vanish_mod", spy)
+        return shapes
+
+    def test_all_nonsingular_settled_by_product_screen(self, eliminations):
+        mats = self.nonsingular_stack(30, 6, 1_000_003, 31)
+        assert dets_vanish_mod(np.array(mats), 1_000_003).tolist() == [False] * 30
+        assert eliminations == [(1, 6, 6)]
+
+    def test_one_block_vanishing_mod_prime_runs_fallback(self, eliminations):
+        # diag(1000003, 1, ...) is nonsingular over Q but vanishes mod the prime
+        mats = self.nonsingular_stack(9, 5, 1_000_003, 37)
+        mats[4] = np.diag([1_000_003, 1, 1, 1, 1]).tolist()
+        got = dets_vanish_mod(np.array(mats), 1_000_003)
+        assert got.tolist() == [i == 4 for i in range(9)]
+        assert eliminations == [(1, 5, 5), (9, 5, 5)]
+
+    def test_exactly_singular_block(self):
+        mats = self.nonsingular_stack(7, 4, 1_000_003, 41)
+        mats[6] = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]]
+        assert det_bareiss(mats[6]) == 0
+        assert dets_vanish_mod(np.array(mats), 1_000_003).tolist() == [i == 6 for i in range(7)]
+
+    def test_single_block_skips_screen(self, eliminations):
+        assert dets_vanish_mod(np.array([[[3, 1], [1, 3]]]), 2).tolist() == [True]
+        assert dets_vanish_mod(np.array([[[3, 1], [1, 3]]]), 7).tolist() == [False]
+        assert eliminations == [(1, 2, 2), (1, 2, 2)]
+
+    @pytest.mark.parametrize("prime", [2 ** 26 + 15, 2 ** 31 - 1])
+    def test_prime_beyond_float_bound_rejected(self, prime):
+        with pytest.raises(ValueError, match="2\\*\\*26"):
+            dets_vanish_mod(np.identity(2, dtype=np.int64)[None], prime)
+
+
+def object_fold(stack, q):
+    """Left fold over Python ints, reduced mod q after every product."""
+    return functools.reduce(lambda a, b: np.dot(a, b) % q, (np.asarray(f, dtype=object) % q for f in stack))
+
+
+class TestProductMod:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("N", [1, 3, 40, 256])
+    def test_matches_object_fold(self, p, N):
+        q = p ** N
+        rng = np.random.default_rng([p, N])
+        for b in (1, 2, 3, 4, 5, 8, 17, 32, 70):
+            for low, high in ((0, 2), (-2 ** 62, 2 ** 62 + 1)):
+                m = int(rng.integers(1, 5))
+                stack = rng.integers(low, high, size=(b, m, m), dtype=np.int64)
+                want = object_fold(stack, q).tolist()
+                assert product_mod(stack, p, q).tolist() == want
+                assert product_mod(stack.astype(object), p, q).tolist() == want
+
+    def test_word_prime_with_extreme_entries(self):
+        # entries at the edges of the float64 pre-reduction (|x| < 2**52)
+        q = 1_000_003
+        edges = [2 ** 52 - 1, 2 ** 52, -(2 ** 52) + 1, -(2 ** 52), np.iinfo(np.int64).min,
+                 np.iinfo(np.int64).max, q // 2, -(q // 2), q, -1]
+        rng = np.random.default_rng(7)
+        for b in (1, 6, 11):
+            stack = rng.choice(np.array(edges, dtype=np.int64), size=(b, 3, 3))
+            assert product_mod(stack, q, q).tolist() == object_fold(stack, q).tolist()
+
+    @pytest.mark.parametrize(
+        "p,q,tree",
+        [
+            # 4 (q // 2 + 1)**2 < 2**52, but 4 (q - 1)**2 > 2**53: exact only
+            # with symmetric residues
+            (5, 5 ** 11, "float64"),
+            # just past the bound: 4 (q // 2 + 1)**2 lies in (2**53, 2**54)
+            (3, 3 ** 17, "int64"),
+        ],
+    )
+    def test_modulus_at_float_bound(self, p, q, tree, monkeypatch):
+        floats = []
+        real = exact_linalg._symmetric
+        monkeypatch.setattr(exact_linalg, "_symmetric", lambda x, q: floats.append(1) or real(x, q))
+        rng = np.random.default_rng(q)
+        for b in (2, 3, 9):
+            # entries that reduce to near -1 and near +-q / 2, so that dots
+            # reach 4 (q // 2)**2 and, taken in [0, q), 4 (q - 1)**2
+            stack = np.concatenate([
+                rng.integers(-8, 0, size=(b, 4, 4)),
+                rng.integers(q // 2 - 8, q // 2 + 9, size=(b, 4, 4)),
+            ])
+            assert product_mod(stack, p, q).tolist() == object_fold(stack, q).tolist()
+        assert bool(floats) == (tree == "float64")
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            product_mod(np.zeros((2, 2, 3), dtype=np.int64), 2, 4)
+        with pytest.raises(ValueError):
+            product_mod(np.zeros((0, 2, 2), dtype=np.int64), 2, 4)
 
 
 class TestCokernelPartition:

@@ -106,6 +106,37 @@ class TestRunTrial:
         assert certificates, "depth 1 should saturate some trial"
         assert not draw_integers(spec, 9).flags.writeable
 
+    def test_rank_checks_follow_unscreened_certificate(self, monkeypatch):
+        # the product-determinant screen must not change which blocks get an
+        # exact rank: those whose determinant vanishes mod the certificate
+        # prime, in order, up to the first singular one
+        from cokfluct import experiments
+        from cokfluct.ensembles import determinant_blocks
+        from cokfluct.exact_linalg import det_bareiss
+
+        calls = []
+        monkeypatch.setattr(experiments, "rational_rank", lambda m: calls.append(m) or rational_rank(m))
+        ranked = screened = 0
+        for dist, seed in ((EntryDistribution.uniform_mod(2), 606), (EntryDistribution.uniform_range(-3, 3), 607)):
+            spec = toy_spec(k=40, n=10, A_dist=dist, master_seed=seed)
+            for trial in range(20):
+                calls.clear()
+                rec = run_trial(spec, trial, 3)
+                if 3 not in rec.partition:  # nothing saturated, no certificate
+                    assert not calls
+                    continue
+                expected = []
+                for block in determinant_blocks(spec, trial):
+                    if det_bareiss(block) % experiments.CERTIFICATE_PRIME == 0:
+                        expected.append(block)
+                        if rational_rank(block) < spec.n:
+                            break
+                assert [c.tolist() for c in calls] == [e.tolist() for e in expected]
+                assert rec.singular == any(rational_rank(e) < spec.n for e in expected)
+                ranked += len(calls)
+                screened += not calls
+        assert ranked and screened, "expected both rank checks and screened trials"
+
     def test_block_trial(self):
         # exact SNF truncated at the working depth, and in full at a depth
         # above every divisor valuation
