@@ -87,6 +87,12 @@ class RunConfig:
         def partition(parts):
             return as_partition(config_int(x, "partition part") for x in parts)
 
+        def typed(key, default, kind, what):
+            value = d.get(key, default)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+            return value
+
         try:
             groups = tuple(
                 AbelianPGroup(config_int(g["p"], "group p"), partition(g["lambda"]))
@@ -107,8 +113,8 @@ class RunConfig:
             d=config_int(d.get("d", 3), "d"),
             zeta=float(zeta),
             workers=config_int(d.get("workers", 1), "workers"),
-            output_dir=str(d.get("output_dir", "run")),
-            reproducible=bool(d.get("reproducible", False)),
+            output_dir=typed("output_dir", "run", str, "a string"),
+            reproducible=typed("reproducible", False, bool, "true or false"),
         )
 
 
@@ -124,16 +130,15 @@ def write_report_files(report: ExperimentReport, out_dir: Path, config: RunConfi
         payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     (out_dir / "report.json").write_bytes(_json_bytes(payload))
 
-    with (out_dir / "hom_moments.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["group", "mean", "ci_low", "ci_high", "target", "count"])
-        for key, est in sorted(report.hom_moments.items()):
-            w.writerow([key, est.mean, est.ci_low, est.ci_high, est.target, est.count])
-    with (out_dir / "l_moments.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "mean", "ci_low", "ci_high", "target", "count"])
-        for key, est in sorted(report.l_moments.items()):
-            w.writerow([key, est.mean, est.ci_low, est.ci_high, est.target, est.count])
+    for name, label, moments in (
+        ("hom_moments", "group", report.hom_moments),
+        ("l_moments", "lambda", report.l_moments),
+    ):
+        with (out_dir / f"{name}.csv").open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([label, "mean", "ci_low", "ci_high", "target", "count"])
+            for key, est in sorted(moments.items()):
+                w.writerow([key, est.mean, est.ci_low, est.ci_high, est.target, est.count])
     with (out_dir / "centered_histogram.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["vector", "count", "probability"])

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 GENERATOR_ID = "numpy-PCG64(SeedSequence([master_seed, trial]))"
+UNIFORM_KINDS = ("uniform_mod", "uniform_range")  # laws with low and high set
 
 
 class ConfigError(ValueError):
@@ -94,8 +95,10 @@ def default_precision(p: int, k: int) -> int:
 # Entry distributions
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _require_int64(name: str, *values: int) -> None:
+    """Entries are drawn as int64, so every value a law takes must fit."""
+    if any(not -2 ** 63 <= v < 2 ** 63 for v in values):
+        raise ConfigError(f"{name} must lie in the int64 range [-2**63, 2**63 - 1]")
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,14 @@ class EntryDistribution:
 
     @classmethod
     def uniform_mod(cls, m: int) -> "EntryDistribution":
-        if m < 1:
-            raise ConfigError("uniform_mod needs modulus >= 1")
-        return cls(kind="uniform_mod", modulus=int(m))
+        if not 1 <= m <= 2 ** 63:
+            raise ConfigError("uniform_mod needs 1 <= modulus <= 2**63")
+        # counted and drawn as uniform_range(0, m - 1), never enumerated
+        return cls(kind="uniform_mod", modulus=int(m), low=0, high=int(m) - 1)
 
     @classmethod
     def bernoulli(cls, q) -> "EntryDistribution":
-        q = _as_fraction(q)
+        q = Fraction(q)
         if not 0 <= q <= 1:
             raise ConfigError("bernoulli needs q in [0, 1]")
         return cls(kind="bernoulli", q=q)
@@ -128,38 +132,37 @@ class EntryDistribution:
     def uniform_range(cls, low: int, high: int) -> "EntryDistribution":
         if high < low:
             raise ConfigError("uniform_range needs low <= high")
+        _require_int64("uniform_range bounds", low, high)
         return cls(kind="uniform_range", low=int(low), high=int(high))
 
     @classmethod
     def finite_support(cls, pairs) -> "EntryDistribution":
-        cleaned = [(int(v), _as_fraction(w)) for v, w in pairs]
+        cleaned = [(int(v), Fraction(w)) for v, w in pairs]
         if not cleaned:
             raise ConfigError("finite_support needs at least one atom")
         if any(w <= 0 for _, w in cleaned):
             raise ConfigError("finite_support weights must be positive")
         if len({v for v, _ in cleaned}) != len(cleaned):
             raise ConfigError("finite_support values must be distinct")
+        _require_int64("finite_support values", *(v for v, _ in cleaned))
         total = sum(w for _, w in cleaned)
         norm = tuple((v, w / total) for v, w in cleaned)
         return cls(kind="finite_support", support=norm)
 
     @classmethod
     def constant(cls, value: int) -> "EntryDistribution":
+        _require_int64("constant value", value)
         return cls(kind="constant", value=int(value))
 
     # -- exact probability structure --------------------------------------
 
     def support_pairs(self) -> tuple[tuple[int, Fraction], ...]:
         """(value, probability) atoms; every kind here has finite support."""
-        if self.kind == "uniform_mod":
-            w = Fraction(1, self.modulus)
-            return tuple((v, w) for v in range(self.modulus))
+        if self.kind in UNIFORM_KINDS:
+            w = Fraction(1, self.high - self.low + 1)
+            return tuple((v, w) for v in range(self.low, self.high + 1))
         if self.kind == "bernoulli":
             return ((0, 1 - self.q), (1, self.q))
-        if self.kind == "uniform_range":
-            span = self.high - self.low + 1
-            w = Fraction(1, span)
-            return tuple((v, w) for v in range(self.low, self.high + 1))
         if self.kind == "finite_support":
             return self.support
         if self.kind == "constant":
@@ -168,14 +171,11 @@ class EntryDistribution:
 
     def residue_probs(self, p: int) -> list[Fraction]:
         """Exact distribution of X mod p."""
-        probs = [Fraction(0)] * p
-        if self.kind == "uniform_range":
+        if self.kind in UNIFORM_KINDS:
             # counted arithmetically: residue classes of [low, high]
             span = self.high - self.low + 1
-            for r in range(p):
-                count = (self.high - r) // p - (self.low - 1 - r) // p
-                probs[r] = Fraction(count, span)
-            return probs
+            return [Fraction((self.high - r) // p - (self.low - 1 - r) // p, span) for r in range(p)]
+        probs = [Fraction(0)] * p
         for v, w in self.support_pairs():
             probs[v % p] += w
         return probs
@@ -190,12 +190,10 @@ class EntryDistribution:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.kind == "uniform_mod":
-            return rng.integers(0, self.modulus, size=shape, dtype=np.int64)
+        if self.kind in UNIFORM_KINDS:
+            return rng.integers(self.low, self.high + 1, size=shape, dtype=np.int64)
         if self.kind == "bernoulli":
             return (rng.random(shape) < float(self.q)).astype(np.int64)
-        if self.kind == "uniform_range":
-            return rng.integers(self.low, self.high + 1, size=shape, dtype=np.int64)
         if self.kind == "finite_support":
             values = np.array([v for v, _ in self.support], dtype=np.int64)
             weights = np.array([float(w) for _, w in self.support])
@@ -233,9 +231,14 @@ class EntryDistribution:
             if kind == "uniform_range":
                 return cls.uniform_range(config_int(d["low"], "low"), config_int(d["high"], "high"))
             if kind == "finite_support":
+                support = d["support"]
+                if not isinstance(support, list) or not all(
+                    isinstance(pair, list) and len(pair) == 2 for pair in support
+                ):
+                    raise ConfigError(f"support must be a list of [value, weight] pairs, got {support!r}")
                 return cls.finite_support(
                     [(config_int(v, "support value"), config_fraction(w, "support weight"))
-                     for v, w in d["support"]]
+                     for v, w in support]
                 )
             if kind == "constant":
                 return cls.constant(config_int(d["value"], "value"))
@@ -288,6 +291,8 @@ class EnsembleSpec:
         else:
             if self.n is None or self.n < 1:
                 raise ConfigError(f"{self.kind} needs n >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not _is_prime(self.p):
             raise ConfigError(f"p must be prime, got {self.p}")
         if not self.A_dist.is_balanced(self.p):
@@ -297,15 +302,6 @@ class EnsembleSpec:
             )
         if self.precision is not None and self.precision < 1:
             raise ConfigError("precision must be >= 1")
-
-    @property
-    def size(self) -> int:
-        """Side length of the assembled square matrix."""
-        if self.kind == "block_triangular":
-            return sum(self.block_sizes)
-        if self.kind == "matrix_product":
-            return self.n
-        return self.n * self.k
 
     def working_precision(self) -> int:
         return self.precision if self.precision is not None else default_precision(self.p, self.k)

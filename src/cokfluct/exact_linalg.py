@@ -252,34 +252,15 @@ def _isolate_pivot(a, t, nrows, ncols):
         a[t] = [x + y for x, y in zip(a[t], a[bad])]
 
 
-def det_bareiss(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = _int_rows(m)
-    n = len(a)
-    if n != len(a[0]):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for t in range(n):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
-
-
-def rational_rank(m) -> int:
-    """Rank over Q by fraction-free elimination with full pivoting."""
-    a = _int_rows(m)
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """(rank over Q, det) of rows of Python ints, in place, by fraction-free
+    (Bareiss) elimination with full pivoting.  Each pivot is the leading
+    principal minor of its size of the row- and column-permuted matrix, and
+    every swap flips the sign, so for a square matrix of full rank the last
+    pivot times the sign is det; det is 0 otherwise (and for a non-square
+    matrix)."""
     nrows, ncols = len(a), len(a[0])
-    prev = 1
+    prev = sign = 1
     rank = 0
     for t in range(min(nrows, ncols)):
         pos = next(
@@ -291,16 +272,31 @@ def rational_rank(m) -> int:
         i, j = pos
         if i != t:
             a[i], a[t] = a[t], a[i]
+            sign = -sign
         if j != t:
             for row in a:
                 row[j], row[t] = row[t], row[j]
+            sign = -sign
         for r in range(t + 1, nrows):
             for c in range(t + 1, ncols):
                 a[r][c] = (a[r][c] * a[t][t] - a[r][t] * a[t][c]) // prev
             a[r][t] = 0
         prev = a[t][t]
         rank += 1
-    return rank
+    return rank, sign * prev if rank == nrows == ncols else 0
+
+
+def det_bareiss(m) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = _int_rows(m)
+    if len(a) != len(a[0]):
+        raise ValueError("determinant needs a square matrix")
+    return _bareiss(a)[1]
+
+
+def rational_rank(m) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    return _bareiss(_int_rows(m))[0]
 
 
 def dets_vanish_mod(blocks, prime: int) -> np.ndarray:

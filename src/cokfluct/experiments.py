@@ -11,13 +11,14 @@ the rank statistics needs more, and an exact certificate settles it.
 
 Aggregation yields empirical rescaled Hom-moments, moments of the centered
 rank vector, and the centered-vector histogram, with bootstrap percentile
-confidence intervals and theory targets attached.  Everything is a pure
-function of the spec and its master seed: identical reports regardless of
-worker count or trial order.
+confidence intervals (1000 resamples) and theory targets attached.
+Everything is a pure function of the spec and its master seed: identical
+reports regardless of worker count or trial order.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -78,6 +79,7 @@ __all__ = [
 CERTIFICATE_PRIME = 1_000_003  # below 2**26, so dets_vanish_mod computes exactly in float64
 WORKERS_ENV_VAR = "COKFLUCT_WORKERS"
 BOOTSTRAP_TAG = 0xB007
+BOOTSTRAP_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -175,10 +177,6 @@ def _parse_vector_label(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in body.split(",")) if body else ()
 
 
-def partition_label(lam: Sequence[int]) -> str:
-    return _vector_label(tuple(lam))
-
-
 # ---------------------------------------------------------------------------
 # Single trials
 # ---------------------------------------------------------------------------
@@ -220,11 +218,6 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
     return TrialRecord(trial, partition, singular, depth)
 
 
-def _trial_batch(args) -> list[TrialRecord]:
-    spec, trials, depth = args
-    return [run_trial(spec, t, depth) for t in trials]
-
-
 def worker_budget(workers: int) -> int:
     """`workers` capped by the COKFLUCT_WORKERS environment variable, which
     must be a positive integer when set."""
@@ -241,19 +234,16 @@ def worker_budget(workers: int) -> int:
 
 
 def _collect_records(spec: EnsembleSpec, trials: int, depth: int, workers: int) -> list[TrialRecord]:
+    """One TrialRecord per trial, in trial order: pool.map returns results
+    in input order.  run_trial is looked up per call, so a wrapper installed
+    in this module's namespace (benchmarks/child.py) wraps every trial of a
+    serial run."""
     workers = worker_budget(workers)
-    indices = list(range(trials))
+    trial = functools.partial(run_trial, spec, depth=depth)
     if workers <= 1 or trials < 2:
-        records = [run_trial(spec, t, depth) for t in indices]
-    else:
-        chunk = max(1, trials // (workers * 8))
-        batches = [(spec, indices[i:i + chunk], depth) for i in range(0, trials, chunk)]
-        records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for out in pool.map(_trial_batch, batches):
-                records.extend(out)
-    records.sort(key=lambda r: r.trial)
-    return records
+        return [trial(t) for t in range(trials)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(trials), chunksize=max(1, trials // (workers * 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +276,27 @@ def validate_run(
             raise ConfigError(f"lambda {tuple(lam)} has more than d={d} parts")
 
 
-def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator, resamples: int) -> tuple[float, float]:
+def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
     n = len(values)
-    if n == 0:
-        return (float("nan"), float("nan"))
-    means = np.empty(resamples)
+    means = np.empty(BOOTSTRAP_RESAMPLES)
     chunk = max(1, 10 ** 7 // n)  # bound the index-matrix footprint
     done = 0
-    while done < resamples:
-        m = min(chunk, resamples - done)
+    while done < BOOTSTRAP_RESAMPLES:
+        m = min(chunk, BOOTSTRAP_RESAMPLES - done)
         idx = rng.integers(0, n, size=(m, n))
         means[done:done + m] = values[idx].mean(axis=1)
         done += m
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
+
+
+def _estimate(values: list[Fraction], target, rng: np.random.Generator) -> MomentEstimate:
+    """Exact mean of `values` with a bootstrap percentile CI of their float
+    images; NaNs, and no draw from rng, when there are no values."""
+    if not values:
+        return MomentEstimate(float("nan"), float("nan"), float("nan"), float(target), 0)
+    lo, hi = _bootstrap_ci(np.array([float(x) for x in values]), rng)
+    return MomentEstimate(float(sum(values) / len(values)), lo, hi, float(target), len(values))
 
 
 def run_experiment(
@@ -311,15 +308,15 @@ def run_experiment(
     *,
     zeta: float = 0.0,
     workers: int = 1,
-    bootstrap_resamples: int = 1000,
 ) -> ExperimentReport:
     """Run `trials` trials of the ensemble and aggregate.
 
     Per group G: the mean of |Hom(cok, G)| / k**ell(G) over all trials
     (a free summand counts |G|, as Z/p**D does).  Per lambda: the mean of
     p**<centered rank vector, lambda> over nonsingular trials.  Bootstrap
-    percentile CIs (values resampled in trial order, seeded from the master
-    seed) keep the report a pure function of the configuration.
+    percentile CIs (1000 resamples of the values in trial order, seeded
+    from the master seed; groups first, then lambdas) keep the report a
+    pure function of the configuration.
     """
     lam_list = [as_partition(lam) for lam in lam_list]
     validate_run(spec.p, G_list, lam_list, d, zeta)
@@ -328,38 +325,25 @@ def run_experiment(
     records = _collect_records(spec, trials, working_depth(d, G_list), workers)
     finite = [r for r in records if not r.singular]
     center = centering(spec.k, params)
-
-    rng = np.random.default_rng(np.random.SeedSequence([spec.master_seed, BOOTSTRAP_TAG]))
-
-    hom_moments: dict[str, MomentEstimate] = {}
-    for G in G_list:
-        scale = spec.k ** ell(G)
-        raw = [hom_moment_of_trial(r.partition, 0, G) for r in records]
-        target = limit_rescaled_hom_moment(G)
-        if raw:
-            mean = float(Fraction(sum(raw), len(raw) * scale))
-            vals = np.array([v / scale for v in raw], dtype=float)
-            lo, hi = _bootstrap_ci(vals, rng, bootstrap_resamples)
-        else:
-            mean, (lo, hi) = float("nan"), (float("nan"), float("nan"))
-        hom_moments[G.label()] = MomentEstimate(mean, lo, hi, float(target), len(raw))
-
     vectors = [centered_rank_vector(r.partition, 0, spec.k, params) for r in finite]
 
-    l_moments: dict[str, MomentEstimate] = {}
-    for lam in lam_list:
-        target = L_moment(lam, params)
-        exact = [
-            Fraction(spec.p) ** sum(c * l for c, l in zip(vec, lam))
-            for vec in vectors
-        ]
-        if exact:
-            mean = float(sum(exact) / len(exact))
-            vals = np.array([float(x) for x in exact], dtype=float)
-            lo, hi = _bootstrap_ci(vals, rng, bootstrap_resamples)
-        else:
-            mean, (lo, hi) = float("nan"), (float("nan"), float("nan"))
-        l_moments[partition_label(lam)] = MomentEstimate(mean, lo, hi, target.value, len(exact))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.master_seed, BOOTSTRAP_TAG]))
+    hom_moments = {
+        G.label(): _estimate(
+            [Fraction(hom_moment_of_trial(r.partition, 0, G), spec.k ** ell(G)) for r in records],
+            limit_rescaled_hom_moment(G),
+            rng,
+        )
+        for G in G_list
+    }
+    l_moments = {
+        _vector_label(lam): _estimate(
+            [Fraction(spec.p) ** sum(c * l for c, l in zip(vec, lam)) for vec in vectors],
+            L_moment(lam, params).value,
+            rng,
+        )
+        for lam in lam_list
+    }
 
     return ExperimentReport(
         spec=spec,

@@ -204,8 +204,20 @@ class TestSimulate:
             (("ensemble", "A_dist"), {"kind": "bernoulli", "q": "1/0"}, "q must be a number"),
             (("lambdas",), [[1.5]], "must be an integer, got 1.5"),
             (("groups",), [{"p": 2, "lambda": [True]}], "must be an integer, got True"),
+            (("ensemble", "A_dist"), {"kind": "finite_support", "support": [5]}, "[value, weight] pairs"),
+            (("ensemble", "A_dist"), {"kind": "finite_support", "support": 5}, "[value, weight] pairs"),
+            (("reproducible",), "no", "reproducible must be true or false"),
+            (("output_dir",), None, "output_dir must be a string"),
+            (("ensemble", "A_dist"), {"kind": "uniform_range", "low": 0, "high": 10 ** 20}, "int64 range"),
+            (("ensemble", "A_dist"), {"kind": "finite_support", "support": [[0, 1], [10 ** 20, 1]]}, "int64 range"),
+            (("ensemble", "B_dist"), {"kind": "constant", "value": 10 ** 20}, "int64 range"),
+            (("ensemble", "B_dist"), {"kind": "uniform_mod", "m": 2 ** 63 + 1}, "modulus <= 2**63"),
         ],
-        ids=["ensemble-list", "A_dist-5", "zeta-null", "q-null", "q-1/0", "lambdas-1.5", "group-lambda-true"],
+        ids=[
+            "ensemble-list", "A_dist-5", "zeta-null", "q-null", "q-1/0", "lambdas-1.5", "group-lambda-true",
+            "support-5", "support-not-list", "reproducible-string", "output_dir-null",
+            "uniform_range-high-1e20", "support-value-1e20", "constant-1e20", "uniform_mod-above-2**63",
+        ],
     )
     def test_malformed_field_exits_2(self, tmp_path, path, value, message):
         cfg = make_config(tmp_path)
@@ -220,6 +232,17 @@ class TestSimulate:
             res = CliRunner().invoke(main, ["simulate", "--config", str(cfg), *extra])
             assert res.exit_code == 2, res.output
             assert "config error:" in res.output and message in res.output
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_master_seed_exits_2(self, tmp_path):
+        cfg = make_config(tmp_path)
+        for extra in (["--seed", "-1"], []):
+            res = CliRunner().invoke(main, ["simulate", "--config", str(cfg), *extra])
+            assert res.exit_code == 2, res.output
+            assert "config error: master_seed must be >= 0, got -1" in res.output
+            raw = json.loads(cfg.read_text())
+            raw["ensemble"]["master_seed"] = -1
+            cfg.write_text(json.dumps(raw))
         assert not (tmp_path / "run").exists()
 
     def test_zero_workers_exits_2(self, tmp_path):

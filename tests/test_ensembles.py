@@ -95,6 +95,42 @@ class TestEntryDistribution:
             total -= prob
         assert total == 0
 
+    def test_uniform_mod_is_uniform_range_from_zero(self):
+        for m in range(1, 13):
+            mod, ranged = EntryDistribution.uniform_mod(m), EntryDistribution.uniform_range(0, m - 1)
+            assert mod.support_pairs() == ranged.support_pairs()
+            for p in (2, 3, 5):
+                assert mod.residue_probs(p) == ranged.residue_probs(p)
+            draws = [d.sample(np.random.default_rng(m), (3, 4)) for d in (mod, ranged)]
+            assert np.array_equal(*draws)
+
+    def test_huge_uniform_mod_validates_at_once(self):
+        # residue classes are counted, not enumerated
+        assert EntryDistribution.uniform_mod(2 ** 62).is_balanced(2)
+        assert EntryDistribution.uniform_mod(2 ** 63).residue_probs(3)[0] == Fraction(2 ** 63 // 3 + 1, 2 ** 63)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EntryDistribution.uniform_mod(2 ** 63 + 1),
+            lambda: EntryDistribution.uniform_range(0, 2 ** 63),
+            lambda: EntryDistribution.uniform_range(-2 ** 63 - 1, 0),
+            lambda: EntryDistribution.finite_support([(0, 1), (10 ** 20, 1)]),
+            lambda: EntryDistribution.constant(-10 ** 20),
+        ],
+    )
+    def test_parameters_beyond_int64_rejected(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_int64_extremes_accepted(self):
+        for d in (
+            EntryDistribution.uniform_mod(2 ** 63),
+            EntryDistribution.uniform_range(-2 ** 63, 2 ** 63 - 1),
+            EntryDistribution.finite_support([(-2 ** 63, 1), (2 ** 63 - 1, 1)]),
+        ):
+            assert d.sample(np.random.default_rng(0), 5).dtype == np.int64
+
     def test_round_trip(self):
         for d in (
             EntryDistribution.uniform_mod(8),

@@ -189,6 +189,36 @@ class TestBareissHelpers:
         assert rational_rank(m) == 2
         assert det_bareiss(m) == 0
 
+    def test_rank_of_non_square_matches_snf_nonzero_count(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            assert rational_rank(m) == sum(1 for d in snf_diagonal(m) if d)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_of_permutation_matrix_is_its_sign(self, n):
+        for perm in itertools.permutations(range(n)):
+            m = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            assert det_bareiss(m) == (-1) ** inversions
+
+    def test_det_of_rank_deficient_square_is_zero(self):
+        # one row is a combination of two others (or zero), so det = 0
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            x, y = (rng.choice(m), rng.choice(m)) if m else ([0], [0])
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m.insert(rng.randrange(n), [a * u + b * v for u, v in zip(x, y)])
+            assert rational_rank(m) < n
+            assert det_bareiss(m) == 0
+
+    def test_det_needs_square(self):
+        with pytest.raises(ValueError):
+            det_bareiss([[1, 2, 3], [4, 5, 6]])
+
 
 class TestDetsVanishMod:
     @pytest.mark.parametrize("prime", [2, 3, 7, 1_000_003])
