@@ -349,39 +349,49 @@ class EnsembleSpec:
 # Draws and samplers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _block_layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the n x n matrix of the A entries (every diagonal
+    block, then every subdiagonal block) and of the B entries (block rows
+    i >= 2, block columns j < i - 1), each block in row-major order."""
+    k = len(sizes)
+    offs = np.cumsum((0,) + sizes)
+    flat = np.arange(offs[-1] ** 2).reshape(offs[-1], offs[-1])
+    a = [(i, i) for i in range(k)] + [(i, i - 1) for i in range(1, k)]
+    b = [(i, j) for i in range(2, k) for j in range(i - 1)]
+    return tuple(
+        np.concatenate([flat[:0, 0]] + [flat[offs[i]:offs[i + 1], offs[j]:offs[j + 1]].ravel() for i, j in blocks])
+        for blocks in (a, b)
+    )
+
+
 @functools.lru_cache(maxsize=1)
 def draw_integers(spec: EnsembleSpec, trial: int) -> np.ndarray:
     """The integer draw of one trial, before any reduction: the assembled
     n x n int64 matrix of a block_triangular trial, the (k, n, n) int64
     factor stack otherwise.  Read-only.
 
-    Draw order is fixed (block trials: all A diagonal blocks, then all A
-    subdiagonal blocks, then all B blocks; factor trials: one factor after
-    another), so the draw is a pure function of (master_seed, trial).  The
-    last draw is kept, so the samplers and determinant_blocks of one trial
-    share it.
+    One `sample` call per entry law, in a fixed order (block trials: the A
+    entries of all diagonal blocks, then of all subdiagonal blocks, then
+    the B entries, scattered through _block_layout; factor trials: one
+    factor after another), so the draw is a pure function of (master_seed,
+    trial).  Every law draws entry by entry from one stream (PCG64 keeps a
+    half-used 32-bit word across calls), so this is the same stream as one
+    call per block.  The last draw is kept, so the samplers and
+    determinant_blocks of one trial share it.
     """
     if trial < 0:
         raise ValueError("trial must be >= 0")
     rng = trial_rng(spec.master_seed, trial)
     if spec.kind != "block_triangular":
-        full = np.stack([spec.A_dist.sample(rng, (spec.n, spec.n)) for _ in range(spec.k)])
-        full.setflags(write=False)
-        return full
-    sizes = spec.block_sizes
-    k = spec.k
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    n = offs[-1]
-    full = np.zeros((n, n), dtype=np.int64)
-    for i in range(k):
-        full[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = spec.A_dist.sample(rng, (sizes[i], sizes[i]))
-    for i in range(1, k):
-        full[offs[i]:offs[i + 1], offs[i - 1]:offs[i]] = spec.A_dist.sample(rng, (sizes[i], sizes[i - 1]))
-    for i in range(2, k):
-        for j in range(i - 1):
-            full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = spec.B_dist.sample(rng, (sizes[i], sizes[j]))
+        full = spec.A_dist.sample(rng, (spec.k, spec.n, spec.n))
+    else:
+        a, b = _block_layout(spec.block_sizes)
+        n = sum(spec.block_sizes)
+        full = np.zeros(n * n, dtype=np.int64)
+        full[a] = spec.A_dist.sample(rng, a.size)
+        full[b] = spec.B_dist.sample(rng, b.size)
+        full = full.reshape(n, n)
     full.setflags(write=False)
     return full
 

@@ -323,20 +323,22 @@ def dets_vanish_mod(blocks, prime: int) -> np.ndarray:
 
 def _vanish_mod(blocks, prime: int) -> np.ndarray:
     """Batched elimination over GF(prime) of a (b, m, m) integer stack in
-    float64 symmetric residues: whether each determinant vanishes."""
+    float64 symmetric residues: whether each determinant vanishes.  Step t
+    swaps a nonzero of column t into row t, if there is one, and row t is
+    never touched again, so the triangular result keeps every pivot on the
+    diagonal and a determinant vanishes exactly when a diagonal entry does."""
     a = _float_residues(blocks, prime, prime)
     b, m, _ = a.shape
-    vanish = np.zeros(b, dtype=bool)
     idx = np.arange(b)
-    for t in range(m):
-        nonzero = a[:, t:, t] != 0
-        vanish |= ~nonzero.any(axis=1)
-        r = t + np.argmax(nonzero, axis=1)
-        a[idx, t], a[idx, r] = a[idx, r], a[idx, t].copy()
-        piv = a[:, t, t, None, None]
+    for t in range(m - 1):
+        r = t + np.argmax(a[:, t:, t] != 0, axis=1)
+        rows = a[idx, r]
+        a[idx, r] = a[:, t]
+        a[:, t] = rows
+        piv = rows[:, None, t, None]
         below = a[:, t + 1:, t, None]
-        a[:, t + 1:, t:] = _symmetric(a[:, t + 1:, t:] * piv - below * a[:, None, t, t:], prime)
-    return vanish
+        a[:, t + 1:, t + 1:] = _symmetric(a[:, t + 1:, t + 1:] * piv - below * rows[:, None, t + 1:], prime)
+    return (np.diagonal(a, axis1=1, axis2=2) == 0).any(axis=1)
 
 
 def product_mod(stack, p: int, q: int) -> np.ndarray:
@@ -432,17 +434,19 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
     Block row i may be nonzero only in block columns j <= i (diagonal,
     subdiagonal, and strictly-lower fill).  Apart from the GF(p) search, each
     arriving block row costs a fixed number of array operations, with no
-    per-pivot loop: one GEMM reduces it against the stored pivot rows and
-    appends it to the carry (the rows without a pivot yet); one Gauss-Jordan
-    search over GF(p) (_unit_pivots) finds a maximal set of unit pivots of
-    the carry, whose inverse mod p Newton iteration lifts to mod p**N in
-    about log2(N) GEMM pairs; three GEMMs then give the new pivot rows, the
-    Schur complement that becomes the next carry (every entry divisible by
-    p, since the pivot set is maximal mod p), and the stored pivot rows
-    reduced on the new pivot columns.  The search is a loop over the carry's
-    rows: at p = 2 a row is one Python int and meeting a pivot is one XOR,
-    so it costs O(rows * pivots) XORs; at odd p each row costs a few numpy
-    operations.  For random balanced diagonal blocks the carry stays near
+    per-pivot loop.  The elimination is right-looking: the rows from the
+    arriving block row down are kept reduced against every pivot so far, on
+    the carry's columns only (pivot columns are zero in them), so the
+    arriving rows join the carry (the rows without a pivot yet) as they are.
+    One Gauss-Jordan search over GF(p) (_unit_pivots) finds a maximal set of
+    unit pivots of the carry, whose inverse mod p Newton iteration lifts to
+    mod p**N in about log2(N) GEMM pairs; three GEMMs then give the new
+    pivot rows, the Schur complement that becomes the next carry (every
+    entry divisible by p, since the pivot set is maximal mod p), and the
+    rows below reduced on the new pivot columns.  The search is a loop over
+    the carry's rows: at p = 2 a row is one Python int and meeting a pivot
+    is one XOR, so it costs O(rows * pivots) XORs; at odd p each row costs a
+    few numpy operations.  For random balanced diagonal blocks the carry stays near
     the block size, so a block row costs O(n_i**3) scalar work in GEMMs.
 
     After the last block row the carry is divided by p and the modulus
@@ -465,44 +469,31 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
 
     p, N = m.p, m.precision
     q = p ** N
-    dtype = m.data.dtype
+    data = m.data
 
-    active = np.zeros(0, dtype=np.intp)     # global ids of carry columns
-    consumed = np.zeros(0, dtype=np.intp)   # global pivot column of each pivot row
-    carry = np.zeros((0, 0), dtype=dtype)
-    pivot_rows = np.zeros((0, 0), dtype=dtype)  # identity on consumed, stored on active
+    carry = data[:0, :0]
+    below = data[:, :0]  # rows r0.. reduced against every pivot so far, on the carry's columns
     unit_pivots = 0
 
     for i in range(k):
         r0, r1 = offsets[i], offsets[i + 1]
-        block = m.data[r0:r1]
-        if (block[:, r1:] != 0).any():
+        if (data[r0:r1, r1:] != 0).any():
             raise BlockStructureError(
                 f"block row {i + 1} has a nonzero block above the diagonal"
             )
-        y = block[:, active]
-        if consumed.size:
-            y = residues(y - np.dot(block[:, consumed], pivot_rows), p, q)
-        # columns r0..r1 are new: zero in every earlier row and pivot row
-        c, a, s = carry.shape[0], active.size, r1 - r0
-        grown = np.zeros((c + s, a + s), dtype=dtype)
+        # columns r0..r1 are new: zero in every earlier row
+        c, a, s = carry.shape[0], carry.shape[1], r1 - r0
+        grown = np.zeros((c + s, a + s), dtype=data.dtype)
         grown[:c, :a] = carry
-        grown[c:, :a] = y
-        grown[c:, a:] = block[:, r0:r1]
-        active = np.concatenate([active, np.arange(r0, r1)])
+        grown[c:, :a] = below[:s]
+        grown[c:, a:] = data[r0:r1, r0:r1]
+        lower = np.concatenate([below[s:], data[r1:, r0:r1]], axis=1)
 
         cols, w, carry = _eliminate_units(grown, p, N)
         unit_pivots += cols.size
-        if i < k - 1:  # pivot_rows is only read when a later block row arrives
-            keep = np.ones(active.size, dtype=bool)
-            keep[cols] = False
-            padded = np.zeros((consumed.size, active.size), dtype=dtype)
-            padded[:, :a] = pivot_rows
-            pivot_rows = np.concatenate(
-                [residues(padded[:, keep] - np.dot(padded[:, cols], w), p, q), w]
-            )
-            consumed = np.concatenate([consumed, active[cols]])
-            active = active[keep]
+        keep = np.ones(a + s, dtype=bool)
+        keep[cols] = False
+        below = residues(lower[:, keep] - np.dot(lower[:, cols], w), p, q)
 
     valuations = [0] * unit_pivots
     for v in range(1, N):

@@ -237,10 +237,11 @@ def _collect_records(spec: EnsembleSpec, trials: int, depth: int, workers: int) 
     """One TrialRecord per trial, in trial order: pool.map returns results
     in input order.  run_trial is looked up per call, so a wrapper installed
     in this module's namespace (benchmarks/child.py) wraps every trial of a
-    serial run."""
-    workers = worker_budget(workers)
+    serial run.  At most one process per trial and per usable CPU starts."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(worker_budget(workers), trials, cpus)
     trial = functools.partial(run_trial, spec, depth=depth)
-    if workers <= 1 or trials < 2:
+    if workers <= 1:
         return [trial(t) for t in range(trials)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial, range(trials), chunksize=max(1, trials // (workers * 8))))

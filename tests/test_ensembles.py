@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -358,3 +359,79 @@ class TestSeeding:
         c = trial_rng(123, 6).integers(0, 1000, 10)
         assert (a == b).all()
         assert (a != c).any()
+
+
+def per_block_draw(spec, trial):
+    """Reference draw with one `sample` call per block (all diagonal blocks,
+    then all subdiagonal blocks, then the B blocks row by row) or per
+    factor, on the trial's generator."""
+    rng = trial_rng(spec.master_seed, trial)
+    if spec.kind != "block_triangular":
+        return np.stack([spec.A_dist.sample(rng, (spec.n, spec.n)) for _ in range(spec.k)])
+    sizes, k = spec.block_sizes, spec.k
+    offs = [0, *itertools.accumulate(sizes)]
+    full = np.zeros((offs[-1], offs[-1]), dtype=np.int64)
+
+    def put(i, j, dist):
+        full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = dist.sample(rng, (sizes[i], sizes[j]))
+
+    for i in range(k):
+        put(i, i, spec.A_dist)
+    for i in range(1, k):
+        put(i, i - 1, spec.A_dist)
+    for i in range(2, k):
+        for j in range(i - 1):
+            put(i, j, spec.B_dist)
+    return full
+
+
+SMALL_SPAN = EntryDistribution.uniform_range(-3, 4)  # drawn from 32-bit words
+STREAM_LAWS = {
+    "uniform_mod-2": EntryDistribution.uniform_mod(2),
+    "uniform_mod-2**63": EntryDistribution.uniform_mod(2 ** 63),
+    "uniform_range-small": SMALL_SPAN,
+    "uniform_range-2**32-1": EntryDistribution.uniform_range(0, 2 ** 32 - 1),
+    "uniform_range-2**32": EntryDistribution.uniform_range(-2 ** 31, 2 ** 31),
+    "uniform_range-2**41": EntryDistribution.uniform_range(-2 ** 40, 2 ** 40),
+    "uniform_range-point": EntryDistribution.uniform_range(5, 5),
+    "bernoulli": EntryDistribution.bernoulli(Fraction(1, 3)),
+    "finite_support": EntryDistribution.finite_support([(0, 1), (3, 2), (-7, 1)]),
+    "constant": EntryDistribution.constant(7),
+}
+BALANCED_LAWS = {name: law for name, law in STREAM_LAWS.items() if law.is_balanced(2)}
+# (2, 1, 3) and (1, 2) have an odd number of A entries, so a half-used
+# 32-bit word carries from the A call into the B call
+STREAM_SIZES = [(3, 1, 4, 1, 5), (2, 1, 3), (1, 2), (1,)]
+
+
+class TestOneCallDraw:
+    """draw_integers makes one `sample` call per entry law; its stream must
+    equal one call per block or factor, value for value."""
+
+    @staticmethod
+    def assert_same_stream(spec):
+        for trial in range(3):
+            got = draw_integers(spec, trial)
+            want = per_block_draw(spec, trial)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want), (spec, trial)
+
+    @pytest.mark.parametrize("law", STREAM_LAWS.values(), ids=STREAM_LAWS.keys())
+    @pytest.mark.parametrize("sizes", STREAM_SIZES)
+    def test_block_law_as_B_after_32_bit_A(self, law, sizes):
+        self.assert_same_stream(block_spec(
+            k=len(sizes), block_sizes=sizes, A_dist=SMALL_SPAN, B_dist=law, master_seed=11,
+        ))
+
+    @pytest.mark.parametrize("law", BALANCED_LAWS.values(), ids=BALANCED_LAWS.keys())
+    @pytest.mark.parametrize("sizes", STREAM_SIZES)
+    def test_block_law_as_A_before_32_bit_B(self, law, sizes):
+        self.assert_same_stream(block_spec(
+            k=len(sizes), block_sizes=sizes, A_dist=law, B_dist=SMALL_SPAN, master_seed=12,
+        ))
+
+    @pytest.mark.parametrize("law", BALANCED_LAWS.values(), ids=BALANCED_LAWS.keys())
+    @pytest.mark.parametrize("kind", ["matrix_product", "bidiagonal_embedding"])
+    def test_factor_stack(self, law, kind):
+        for k, n in ((5, 3), (1, 1), (2, 4)):
+            self.assert_same_stream(EnsembleSpec(p=2, kind=kind, k=k, n=n, A_dist=law, master_seed=13))

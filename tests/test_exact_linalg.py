@@ -282,6 +282,30 @@ class TestDetsVanishMod:
         assert dets_vanish_mod(np.array([[[3, 1], [1, 3]]]), 7).tolist() == [False]
         assert eliminations == [(1, 2, 2), (1, 2, 2)]
 
+    @pytest.mark.parametrize("prime", [2, 3, 7, 1_000_003])
+    def test_screen_edge_cases_match_bareiss(self, prime):
+        rng = random.Random(prime)
+        mats = [[[rng.randint(-3 * prime, 3 * prime)]] for _ in range(12)] + [[[0]], [[prime]]]
+        mats = np.array(mats, dtype=np.int64)
+        zero = np.zeros((3, 4, 4), dtype=np.int64)
+        # singular mod prime only in the last column: the first three columns
+        # are unit lower triangular on top, the last one is a combination of
+        # them plus a multiple of prime; adding 1 at its bottom adds the
+        # leading 3 x 3 minor, 1, to det, so the twin is nonsingular mod prime
+        gen = np.random.default_rng(prime)
+        lead = np.tril(gen.integers(-5, 6, size=(10, 4, 3)), -1)
+        lead[:, np.arange(3), np.arange(3)] = 1
+        col = lead @ gen.integers(-5, 6, size=(10, 3, 1)) + prime * gen.integers(-2, 3, size=(10, 4, 1))
+        last = np.concatenate([lead, col], axis=2)
+        twin = last.copy()
+        twin[:, 3, 3] += 1
+        for stack in (mats, zero, last, twin):
+            want = [det_bareiss(b) % prime == 0 for b in stack]
+            assert exact_linalg._vanish_mod(stack, prime).tolist() == want
+            assert dets_vanish_mod(stack, prime).tolist() == want
+        assert all(det_bareiss(b) % prime == 0 for b in last)
+        assert not any(det_bareiss(b) % prime == 0 for b in twin)
+
     @pytest.mark.parametrize("prime", [2 ** 26 + 15, 2 ** 31 - 1])
     def test_prime_beyond_float_bound_rejected(self, prime):
         with pytest.raises(ValueError, match="2\\*\\*26"):
@@ -519,6 +543,46 @@ class TestStreamingBlockEliminate:
         m = reduce_matrix([[2, 1], [1, 3]], 2, 16)
         with pytest.raises(BlockStructureError):
             streaming_block_eliminate(m, [1, 1])
+
+    @pytest.mark.parametrize("row, col, name", [
+        (0, 4, "block row 1"),   # the last block column, checked at the first block row
+        (2, 4, "block row 2"),   # the last block row that can hold such an entry
+    ])
+    def test_structural_error_in_last_block_column(self, row, col, name):
+        rows = [[1, 0, 0, 0, 0], [3, 2, 0, 0, 0], [1, 1, 2, 0, 0], [5, 0, 1, 2, 0], [1, 1, 1, 1, 1]]
+        rows[row][col] = 4
+        with pytest.raises(BlockStructureError, match=name):
+            streaming_block_eliminate(reduce_matrix(rows, 2, 8), [1, 2, 2])
+
+    def test_structural_error_while_carry_is_empty(self):
+        # the unit first block leaves an empty carry when block row 2 arrives
+        rows = [[1, 0, 0], [7, 3, 1], [2, 5, 1]]
+        with pytest.raises(BlockStructureError, match="block row 2"):
+            streaming_block_eliminate(reduce_matrix(rows, 2, 8), [1, 1, 1])
+        rows[1][2] = 0
+        got = streaming_block_eliminate(reduce_matrix(rows, 2, 8), [1, 1, 1])
+        assert_matches_exact(got, rows, 2, 8)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_unit_blocks_and_diagonal_block_zero_mod_p(self, p):
+        # sizes with 1s, and one diagonal block (of size 1 or 3) that is 0
+        # mod p, so a block row can add no pivot and the carry only grows
+        rng = random.Random(70 + p)
+        for trial in range(30):
+            sizes = rng.choice([(1, 1, 1, 1), (1, 3, 1, 2, 1), (3, 1, 1), (1, 1, 3)])
+            offs = [0, *itertools.accumulate(sizes)]
+            n = offs[-1]
+            zero = rng.randrange(len(sizes))
+            rows = [[0] * n for _ in range(n)]
+            for bi in range(len(sizes)):
+                for r in range(offs[bi], offs[bi + 1]):
+                    for c in range(offs[bi + 1]):
+                        x = rng.randint(-9, 9)
+                        rows[r][c] = p * x if bi == zero and c >= offs[bi] else x
+            for N, backend in ((3, np.int64), (45, object)):
+                m = reduce_matrix(rows, p, N)
+                assert m.data.dtype == backend
+                assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
 
     def test_block_sizes_must_tile(self):
         m = reduce_matrix([[2, 0], [1, 3]], 2, 16)

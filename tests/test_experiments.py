@@ -223,6 +223,41 @@ class TestRunExperiment:
         capped = run_experiment(spec, 100, [Z2], [], d=1, workers=8)
         assert capped == base
 
+    @pytest.mark.parametrize("cpus, trials, workers, started", [
+        (64, 5, 100000, [5]),    # one process per trial at most
+        (3, 40, 100000, [3]),    # one process per usable CPU at most
+        (64, 40, 4, [4]),
+        (64, 1, 100000, []),     # one trial runs in this process
+        (1, 40, 100000, []),
+    ])
+    def test_worker_processes_capped(self, monkeypatch, cpus, trials, workers, started):
+        from cokfluct import experiments
+
+        pools = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.delenv(experiments.WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        spec = toy_spec(master_seed=779)
+        got = run_experiment(spec, trials, [Z2], [], d=1, workers=workers)
+        assert pools == started
+        assert got == run_experiment(spec, trials, [Z2], [], d=1)
+
     def test_report_round_trip(self):
         rep = run_experiment(toy_spec(), 200, [Z2, Z4], [(1,), (1, 1)], d=2)
         assert ExperimentReport.from_dict(rep.to_dict()) == rep
