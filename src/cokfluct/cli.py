@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from .ensembles import ConfigError, EnsembleSpec, config_int, config_object
+from .ensembles import ConfigError, EnsembleSpec, config_int, config_number, config_object
 from .experiments import (
     ExperimentReport,
     compare_ensembles,
@@ -46,23 +46,17 @@ class RunConfig:
     workers: int = 1
     output_dir: str = "run"
     reproducible: bool = False
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.trials < 0:
             raise ConfigError(f"trials must be >= 0, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.ensemble.precision is not None:
-            raise ConfigError(
-                "ensemble.precision must be null: simulate works mod p**D, "
-                "D = max(d, largest part of any group)"
-            )
         validate_run(self.ensemble.p, self.groups, self.lambdas, self.d, self.zeta)
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "ensemble": self.ensemble.to_dict(),
             "trials": self.trials,
             "groups": [{"p": G.p, "lambda": list(G.lam)} for G in self.groups],
@@ -101,9 +95,6 @@ class RunConfig:
             lambdas = tuple(partition(lam) for lam in d.get("lambdas", []))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad groups/lambdas: {exc}") from exc
-        zeta = d.get("zeta", 0.0)
-        if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
-            raise ConfigError(f"zeta must be a number, got {zeta!r}")
         worker_budget(1)  # a malformed COKFLUCT_WORKERS is a configuration error
         return cls(
             ensemble=EnsembleSpec.from_dict(d["ensemble"]),
@@ -111,7 +102,7 @@ class RunConfig:
             groups=groups,
             lambdas=lambdas,
             d=config_int(d.get("d", 3), "d"),
-            zeta=float(zeta),
+            zeta=config_number(d.get("zeta", 0.0), "zeta"),
             workers=config_int(d.get("workers", 1), "workers"),
             output_dir=typed("output_dir", "run", str, "a string"),
             reproducible=typed("reproducible", False, bool, "true or false"),
@@ -130,21 +121,18 @@ def write_report_files(report: ExperimentReport, out_dir: Path, config: RunConfi
         payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     (out_dir / "report.json").write_bytes(_json_bytes(payload))
 
-    for name, label, moments in (
-        ("hom_moments", "group", report.hom_moments),
-        ("l_moments", "lambda", report.l_moments),
+    # each CSV lists the rows of one report section, in the report's order
+    moment_columns = ["mean", "ci_low", "ci_high", "target", "count"]
+    for name, header in (
+        ("hom_moments", ["group", *moment_columns]),
+        ("l_moments", ["lambda", *moment_columns]),
+        ("centered_histogram", ["vector", "count", "probability"]),
     ):
         with (out_dir / f"{name}.csv").open("w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow([label, "mean", "ci_low", "ci_high", "target", "count"])
-            for key, est in sorted(moments.items()):
-                w.writerow([key, est.mean, est.ci_low, est.ci_high, est.target, est.count])
-    with (out_dir / "centered_histogram.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vector", "count", "probability"])
-        total = max(1, report.included_count)
-        for vec, count in sorted(report.centered_counts.items()):
-            w.writerow(["(" + ",".join(map(str, vec)) + ")", count, count / total])
+            w.writerow(header)
+            for key, row in payload[name].items():
+                w.writerow([key, *row.values()])
 
 
 def _parse_group(text: str) -> AbelianPGroup:

@@ -57,6 +57,14 @@ def config_int(value, name: str) -> int:
     return value
 
 
+def config_number(value, name: str) -> float:
+    """`value` as a float if it is a JSON number (an int or float, not a
+    bool); a string, bool or null is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_object(value, name: str) -> dict:
     """`value` if it is a JSON object; any other JSON value is a ConfigError."""
     if not isinstance(value, dict):
@@ -80,11 +88,11 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def default_precision(p: int, k: int) -> int:
-    """max(16, ceil(log_p k) + 8): the samplers' precision when none is given.
+    """max(16, ceil(log_p k) + 8), a fixed reference precision.
 
-    Only a default for direct sampler calls; it does not bound the divisor
-    valuations, whose largest part is about 16 for 16 blocks of 12x12 and
-    55-75 for products of 64 factors of 20x20 at p = 2."""
+    It does not bound the divisor valuations, whose largest part is about 16
+    for 16 blocks of 12x12 and 55-75 for products of 64 factors of 20x20 at
+    p = 2."""
     e = 0
     while p ** e < k:
         e += 1
@@ -272,7 +280,6 @@ class EnsembleSpec:
     block_sizes: tuple[int, ...] | None = None
     n: int | None = None
     B_dist: EntryDistribution | None = None
-    precision: int | None = None
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
@@ -300,11 +307,10 @@ class EnsembleSpec:
                 f"entry distribution for the A blocks is constant mod p={self.p}; "
                 "balanced entries (no residue with probability 1) are required"
             )
-        if self.precision is not None and self.precision < 1:
-            raise ConfigError("precision must be >= 1")
 
     def working_precision(self) -> int:
-        return self.precision if self.precision is not None else default_precision(self.p, self.k)
+        # read only by benchmarks/child.py, for its escalated_trials count
+        return default_precision(self.p, self.k)
 
     def to_dict(self) -> dict:
         return {
@@ -316,16 +322,17 @@ class EnsembleSpec:
             "A_dist": self.A_dist.to_dict(),
             "B_dist": self.B_dist.to_dict() if self.B_dist else None,
             "master_seed": self.master_seed,
-            "precision": self.precision,
+            "precision": None,  # kept so reports keep their bytes
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSpec":
         config_object(d, "ensemble")
-
-        def optional_int(key):
-            return config_int(d[key], key) if d.get(key) is not None else None
-
+        if d.get("precision") is not None:
+            raise ConfigError(
+                "ensemble.precision must be null: simulate works mod p**D, "
+                "D = max(d, largest part of any group)"
+            )
         try:
             sizes = d.get("block_sizes")
             if sizes and not isinstance(sizes, (list, tuple)):
@@ -337,9 +344,8 @@ class EnsembleSpec:
                 A_dist=EntryDistribution.from_dict(d["A_dist"]),
                 master_seed=config_int(d["master_seed"], "master_seed"),
                 block_sizes=tuple(config_int(s, "block_sizes entry") for s in sizes) if sizes else None,
-                n=optional_int("n"),
+                n=config_int(d["n"], "n") if d.get("n") is not None else None,
                 B_dist=EntryDistribution.from_dict(d["B_dist"]) if d.get("B_dist") else None,
-                precision=optional_int("precision"),
             )
         except KeyError as exc:
             raise ConfigError(f"ensemble spec missing field {exc}") from exc
@@ -396,12 +402,11 @@ def draw_integers(spec: EnsembleSpec, trial: int) -> np.ndarray:
     return full
 
 
-def sample_block_matrix(spec: EnsembleSpec, trial: int, precision: int | None = None) -> PadicMatrix:
-    """One trial of the A+B block ensemble, assembled and reduced mod p**N."""
+def sample_block_matrix(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatrix:
+    """One trial of the A+B block ensemble, assembled and reduced mod p**precision."""
     if spec.kind != "block_triangular":
         raise ConfigError("sample_block_matrix needs a block_triangular spec")
-    N = precision if precision is not None else spec.working_precision()
-    return reduce_matrix(draw_integers(spec, trial), spec.p, N)
+    return reduce_matrix(draw_integers(spec, trial), spec.p, precision)
 
 
 def _require_factor_kind(spec: EnsembleSpec, op: str):
@@ -409,19 +414,19 @@ def _require_factor_kind(spec: EnsembleSpec, op: str):
         raise ConfigError(f"{op} needs a matrix_product or bidiagonal_embedding spec")
 
 
-def product_factors(spec: EnsembleSpec, trial: int, precision: int | None = None) -> list[PadicMatrix]:
-    """The k iid factor matrices of a product trial, reduced mod p**N."""
+def product_factors(spec: EnsembleSpec, trial: int, precision: int) -> list[PadicMatrix]:
+    """The k iid factor matrices of a product trial, reduced mod p**precision."""
     _require_factor_kind(spec, "product_factors")
-    N = precision if precision is not None else spec.working_precision()
-    return [reduce_matrix(f, spec.p, N) for f in draw_integers(spec, trial)]
+    return [reduce_matrix(f, spec.p, precision) for f in draw_integers(spec, trial)]
 
 
-def sample_product(spec: EnsembleSpec, trial: int, precision: int | None = None) -> PadicMatrix:
-    """A_1 A_2 ... A_k reduced mod p**N by exact_linalg.product_mod: a
-    pairwise tree of batched products, in float64 while that is exact."""
+def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatrix:
+    """A_1 A_2 ... A_k reduced mod p**precision by exact_linalg.product_mod:
+    a pairwise tree of batched products, in float64 while that is exact."""
     _require_factor_kind(spec, "sample_product")
-    N = precision if precision is not None else spec.working_precision()
-    return PadicMatrix(product_mod(draw_integers(spec, trial), spec.p, spec.p ** N), spec.p, N)
+    return PadicMatrix(
+        product_mod(draw_integers(spec, trial), spec.p, spec.p ** precision), spec.p, precision
+    )
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:

@@ -41,12 +41,14 @@ from .ensembles import (
     EnsembleSpec,
     build_bidiagonal_embedding,
     config_int,
+    config_number,
+    config_object,
     determinant_blocks,
     product_factors,
     sample_block_matrix,
     sample_product,
 )
-from .pgroups import AbelianPGroup, as_partition, hom_count, ell
+from .pgroups import LATTICE_ORDER_GUARD, AbelianPGroup, as_partition, hom_count, ell
 from .theory import (
     FluctuationParams,
     L_moment,
@@ -148,24 +150,41 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        counts = d["counts"]
+        counts = config_object(d["counts"], "counts")
         return cls(
             spec=EnsembleSpec.from_dict(d["spec"]),
             trials=config_int(d["trials"], "trials"),
             d=config_int(d["d"], "d"),
-            zeta=float(d["zeta"]),
+            zeta=config_number(d["zeta"], "zeta"),
             center=config_int(d["center"], "center"),
             included_count=config_int(counts["included"], "counts.included"),
             free_rank_count=config_int(counts["free_rank"], "counts.free_rank"),
             saturated_count=config_int(counts["saturated"], "counts.saturated"),
-            hom_moments={k: MomentEstimate(**v) for k, v in d["hom_moments"].items()},
-            l_moments={k: MomentEstimate(**v) for k, v in d["l_moments"].items()},
+            hom_moments=_moments_from_dict(d["hom_moments"], "hom_moments"),
+            l_moments=_moments_from_dict(d["l_moments"], "l_moments"),
             centered_counts={
-                _parse_vector_label(k): int(v["count"])
-                for k, v in d["centered_histogram"].items()
+                _parse_vector_label(k): config_int(
+                    config_object(v, f"centered_histogram.{k}")["count"], f"centered_histogram.{k}.count"
+                )
+                for k, v in config_object(d["centered_histogram"], "centered_histogram").items()
             },
             generator=d["generator"],
         )
+
+
+def _moments_from_dict(section, key: str) -> dict[str, MomentEstimate]:
+    """A report's moment section, every entry checked: numbers for the mean,
+    CI and target, an integer count, and no other key."""
+    numbers = ("mean", "ci_low", "ci_high", "target")
+    moments = {}
+    for name, v in config_object(section, key).items():
+        where = f"{key}.{name}"
+        if set(config_object(v, where)) != {*numbers, "count"}:
+            raise ConfigError(f"{where} must have exactly the keys {', '.join(numbers)}, count")
+        moments[name] = MomentEstimate(
+            *(config_number(v[f], f"{where}.{f}") for f in numbers), config_int(v["count"], f"{where}.count")
+        )
+    return moments
 
 
 def _vector_label(v: tuple[int, ...]) -> str:
@@ -264,17 +283,28 @@ def validate_run(
     zeta: float,
 ) -> None:
     """Raise ConfigError unless d >= 1, zeta lies in [0, 1), every group is
-    a p-group and every lambda has at most d parts."""
+    a p-group, every lambda has at most d parts, and every target's subgroup
+    lattice (of G, or of a group of order p**|lambda|) is within the guard
+    of pgroups.enumerate_subgroups."""
     try:
         FluctuationParams(p, zeta, d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+    def check_lattice(what: str, e: int) -> None:
+        # p**e > guard, without forming p**e for a huge e: p >= 2, so
+        # capping e at the guard's bit length keeps the comparison
+        if p ** min(e, LATTICE_ORDER_GUARD.bit_length()) > LATTICE_ORDER_GUARD:
+            raise ConfigError(f"{what}: |G| = {p}**{e} exceeds the subgroup lattice guard {LATTICE_ORDER_GUARD}")
+
     for G in G_list:
         if G.p != p:
             raise ConfigError(f"group {G.label()} is not a {p}-group")
+        check_lattice(f"group {G.label()}", sum(G.lam))
     for lam in lam_list:
         if len(lam) > d:
             raise ConfigError(f"lambda {tuple(lam)} has more than d={d} parts")
+        check_lattice(f"lambda {tuple(lam)}", sum(lam))
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:

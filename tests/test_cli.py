@@ -121,6 +121,9 @@ class TestSimulate:
             {"d": 0},
             {"zeta": 1.5},
             {"groups": [{"p": 3, "lambda": [1]}]},
+            # targets whose subgroup lattice exceeds |G| <= 2**12
+            {"groups": [{"p": 2, "lambda": [13]}]},
+            {"groups": [], "lambdas": [[13]], "d": 1},
         ],
     )
     def test_bad_run_parameters_exit_2(self, tmp_path, overrides):
@@ -318,6 +321,34 @@ class TestCompare:
         res = runner.invoke(main, ["compare", str(path), str(path)])
         assert res.exit_code == 2, res.output
         assert f"config error: {field} must be an integer" in res.output
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("centered_histogram", "(0)", "count"), 1.5, "count must be an integer"),
+            (("centered_histogram", "(0)", "count"), "7", "count must be an integer"),
+            (("centered_histogram", "(0)", "count"), True, "count must be an integer"),
+            (("l_moments", "(1)", "mean"), "x", "mean must be a number"),
+            (("l_moments", "(1)", "count"), "many", "count must be an integer"),
+            (("zeta",), "0.0", "zeta must be a number"),
+        ],
+        ids=["count-1.5", "count-string", "count-true", "mean-string", "moment-count-string", "zeta-string"],
+    )
+    def test_malformed_report_field_exits_2(self, tmp_path, path, value, message):
+        runner = CliRunner()
+        cfg = make_config(tmp_path, trials=20)
+        runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        report = tmp_path / "x" / "report.json"
+        raw = json.loads(report.read_text())
+        *outer, key = path
+        target = raw
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        report.write_text(json.dumps(raw))
+        res = runner.invoke(main, ["compare", str(report), str(report)])
+        assert res.exit_code == 2, res.output
+        assert "config error:" in res.output and message in res.output
 
     def test_mismatched_reports_exit_2(self, tmp_path):
         runner = CliRunner()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -167,6 +168,24 @@ class TestEnsembleSpecValidation:
         spec = block_spec()
         assert EnsembleSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("kind", ["block_triangular", "matrix_product", "bidiagonal_embedding"])
+    def test_precision_must_be_null(self, kind):
+        # a trial is reduced mod p**D of its run, so a spec carries no
+        # precision: reports keep a null key and a set one is an error
+        spec = block_spec() if kind == "block_triangular" else EnsembleSpec(
+            p=2, kind=kind, k=3, n=4, A_dist=EntryDistribution.uniform_mod(2), master_seed=1,
+        )
+        raw = spec.to_dict()
+        assert raw["precision"] is None
+        assert EnsembleSpec.from_dict(raw) == spec
+        del raw["precision"]
+        assert EnsembleSpec.from_dict(raw) == spec
+        for value in (5, 0, "16"):
+            with pytest.raises(ConfigError, match="ensemble.precision must be null"):
+                EnsembleSpec.from_dict({**raw, "precision": value})
+        with pytest.raises(TypeError):
+            dataclasses.replace(spec, precision=5)
+
     def test_default_precision(self):
         assert default_precision(2, 16) == 16
         assert default_precision(2, 2 ** 10) == 18
@@ -181,13 +200,13 @@ class TestBlockSampler:
             B_dist=EntryDistribution.uniform_range(-100, 100),
             master_seed=5,
         )
-        m = sample_block_matrix(spec, 0)
+        m = sample_block_matrix(spec, 0, precision=16)
         assert m.rows == m.cols == 2
 
     def test_structural_zero_pattern(self):
         # B constant 0: nonzero blocks only at (i,i) and (i,i-1)
         spec = block_spec(B_dist=EntryDistribution.constant(0), k=3, block_sizes=(2, 2, 2))
-        m = sample_block_matrix(spec, 1)
+        m = sample_block_matrix(spec, 1, precision=16)
         a = np.asarray(m.data, dtype=object)
         q = m.modulus
         offs = [0, 2, 4, 6]
@@ -199,7 +218,7 @@ class TestBlockSampler:
 
     def test_structural_pattern_with_nonzero_B(self):
         spec = block_spec(B_dist=EntryDistribution.constant(1), k=4, block_sizes=(2, 2, 2, 2))
-        m = sample_block_matrix(spec, 0)
+        m = sample_block_matrix(spec, 0, precision=16)
         a = np.asarray(m.data, dtype=object)
         offs = [0, 2, 4, 6, 8]
         for i in range(4):
@@ -212,8 +231,8 @@ class TestBlockSampler:
 
     def test_determinism(self):
         spec = block_spec()
-        assert sample_block_matrix(spec, 3) == sample_block_matrix(spec, 3)
-        assert sample_block_matrix(spec, 3) != sample_block_matrix(spec, 4)
+        assert sample_block_matrix(spec, 3, precision=16) == sample_block_matrix(spec, 3, precision=16)
+        assert sample_block_matrix(spec, 3, precision=16) != sample_block_matrix(spec, 4, precision=16)
 
     def test_precision_reinvocation_consistency(self):
         spec = block_spec()
@@ -225,7 +244,7 @@ class TestBlockSampler:
     def test_matches_integer_sample(self):
         spec = block_spec()
         exact = draw_integers(spec, 7)
-        m = sample_block_matrix(spec, 7)
+        m = sample_block_matrix(spec, 7, precision=16)
         q = m.modulus
         assert [[x % q for x in row] for row in exact.tolist()] == [
             [int(x) for x in row] for row in m.data
@@ -243,31 +262,31 @@ class TestProductSampler:
 
     def test_k1_single_matrix(self):
         spec = self.prod_spec(k=1)
-        m = sample_product(spec, 0)
-        f = product_factors(spec, 0)
+        m = sample_product(spec, 0, precision=16)
+        f = product_factors(spec, 0, precision=16)
         assert len(f) == 1 and m == f[0]
 
     def test_scalar_product(self):
         spec = self.prod_spec(k=2, n=1)
         factors = draw_integers(spec, 4)
-        prod = sample_product(spec, 4)
+        prod = sample_product(spec, 4, precision=16)
         expected = (int(factors[0][0, 0]) * int(factors[1][0, 0])) % prod.modulus
         assert int(prod.data[0, 0]) == expected
 
     def test_associativity_under_reduction(self):
         spec = self.prod_spec(k=3, n=3)
         for trial in range(5):
-            a, b, c = (np.asarray(f.data, dtype=object) for f in product_factors(spec, trial))
+            a, b, c = (np.asarray(f.data, dtype=object) for f in product_factors(spec, trial, precision=16))
             q = 2 ** 16
             left = np.dot(np.dot(a, b) % q, c) % q
             right = np.dot(a, np.dot(b, c) % q) % q
             assert (left == right).all()
-            assert (np.asarray(sample_product(spec, trial).data, dtype=object) == left).all()
+            assert (np.asarray(sample_product(spec, trial, precision=16).data, dtype=object) == left).all()
 
     def test_exact_product_consistent(self):
         spec = self.prod_spec(k=4, n=2)
         exact = exact_product(spec, 9)
-        reduced = sample_product(spec, 9)
+        reduced = sample_product(spec, 9, precision=16)
         q = reduced.modulus
         assert [[x % q for x in row] for row in exact.tolist()] == [
             [int(x) for x in row] for row in reduced.data
