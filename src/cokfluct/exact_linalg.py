@@ -3,10 +3,11 @@
 Smith normal form over Z with arbitrary-precision integers, and one
 elimination kernel mod p**N for elementary-divisor p-valuations:
 streaming_block_eliminate takes a block lower triangular matrix one block row
-at a time, and padic_valuations is its one-block case.  Each block row costs
-one Gauss-Jordan search over GF(p) for a maximal set of unit pivots (rows
-bit-packed into Python ints at p = 2) and a few GEMMs mod p**N that apply
-them.
+at a time, and padic_valuations is its one-block case.  It keeps one work
+array of rows, and each block row costs one Gauss-Jordan search over GF(p)
+for a maximal set of unit pivots (rows bit-packed into Python ints at p = 2),
+a Newton lift of their inverse, and one update GEMM mod p**N that applies
+them to every other row.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
@@ -23,6 +24,7 @@ largest modulus the bound admits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -70,9 +72,7 @@ class PadicMatrix:
     def __init__(self, data, p: int, precision: int):
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        arr = np.asarray(data)
-        if arr.ndim != 2:
-            raise ValueError("need a 2-D array")
+        arr = _integer_matrix(data)
         q = p ** precision
         check = arr.astype(object) if (arr.dtype != object and q > np.iinfo(np.int64).max) else arr
         if not ((check >= 0) & (check < q)).all():
@@ -105,11 +105,33 @@ def reduce_matrix(a, p: int, precision: int) -> PadicMatrix:
     """Reduce a 2-D integer array (int64 or object) or nested list entrywise
     mod p**precision; int64 entries are widened to Python ints first when
     the modulus does not fit."""
-    a = np.asarray(a)
+    a = _integer_matrix(a)
     q = p ** precision
     if q > 2 ** 62 and a.dtype != object:
         a = a.astype(object)
     return PadicMatrix(residues(a, p, q), p, precision)
+
+
+def _integer_matrix(a) -> np.ndarray:
+    """A 2-D array or nested list as a 2-D array of integers: an integer
+    dtype as it is, anything else as objects made Python ints by
+    operator.index (a nested list goes straight to objects, so no entry
+    passes through float64).  Floats, complex numbers, any other entry,
+    ragged rows and an empty matrix raise ValueError, so nothing is
+    truncated."""
+    arr = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    if arr.ndim != 2:
+        raise ValueError("need a 2-D integer matrix")
+    if 0 in arr.shape:
+        raise ValueError("matrix dimensions must be positive")
+    if arr.dtype == object:
+        try:
+            return np.vectorize(operator.index, otypes=[object])(arr)
+        except TypeError as exc:
+            raise ValueError(f"entries must be integers: {exc}") from None
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -135,18 +157,9 @@ class CokernelPartition(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _int_rows(m) -> list[list[int]]:
-    """Fresh rows of Python ints of a 2-D integer array (int64 or object) or
-    nested list, so the exact routines never compute in int64."""
-    if isinstance(m, np.ndarray):
-        if m.ndim != 2:
-            raise ValueError("need a 2-D integer matrix")
-        m = m.tolist()
-    rows = [[int(x) for x in row] for row in m]
-    if not rows or not rows[0]:
-        raise ValueError("matrix dimensions must be positive")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged rows")
-    return rows
+    """Fresh rows of Python ints of a 2-D integer array or nested list, so
+    the exact routines never compute in int64."""
+    return _integer_matrix(m).tolist()
 
 
 def snf_diagonal(m) -> list[int]:
@@ -434,20 +447,21 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
     Block row i may be nonzero only in block columns j <= i (diagonal,
     subdiagonal, and strictly-lower fill).  Apart from the GF(p) search, each
     arriving block row costs a fixed number of array operations, with no
-    per-pivot loop.  The elimination is right-looking: the rows from the
-    arriving block row down are kept reduced against every pivot so far, on
-    the carry's columns only (pivot columns are zero in them), so the
-    arriving rows join the carry (the rows without a pivot yet) as they are.
-    One Gauss-Jordan search over GF(p) (_unit_pivots) finds a maximal set of
-    unit pivots of the carry, whose inverse mod p Newton iteration lifts to
-    mod p**N in about log2(N) GEMM pairs; three GEMMs then give the new
-    pivot rows, the Schur complement that becomes the next carry (every
-    entry divisible by p, since the pivot set is maximal mod p), and the
-    rows below reduced on the new pivot columns.  The search is a loop over
-    the carry's rows: at p = 2 a row is one Python int and meeting a pivot
-    is one XOR, so it costs O(rows * pivots) XORs; at odd p each row costs a
-    few numpy operations.  For random balanced diagonal blocks the carry stays near
-    the block size, so a block row costs O(n_i**3) scalar work in GEMMs.
+    per-pivot loop.  The elimination is right-looking and keeps one work
+    array: the carry (the rows without a pivot yet), then every row from the
+    arriving block row down, reduced against every pivot so far and kept on
+    the carry's columns only (pivot columns are zero in them).  A block row
+    widens it by its block column, zero on the carry rows.  One Gauss-Jordan
+    search over GF(p) (_unit_pivots) on the carry and the arriving rows finds
+    a maximal set of unit pivots, whose inverse mod p Newton iteration lifts
+    to mod p**N in about log2(N) GEMM pairs; one GEMM gives the new pivot
+    rows and one more updates every other row.  The searched rows left are
+    the next carry, every entry divisible by p since the pivot set is
+    maximal mod p.  The search is a loop over the searched rows: at p = 2 a
+    row is one Python int and meeting a pivot is one XOR, so it costs
+    O(rows * pivots) XORs; at odd p each row costs a few numpy operations.
+    For random balanced diagonal blocks the carry stays near the block size
+    n_i, so block row i costs O(n * n_i**2) scalar work in GEMMs.
 
     After the last block row the carry is divided by p and the modulus
     lowered to p**(N - v), one elimination step per level v, so the units
@@ -468,12 +482,9 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
         offsets.append(offsets[-1] + s)
 
     p, N = m.p, m.precision
-    q = p ** N
     data = m.data
 
-    carry = data[:0, :0]
-    below = data[:, :0]  # rows r0.. reduced against every pivot so far, on the carry's columns
-    unit_pivots = 0
+    active = data[:, :0]  # the carry rows, then rows r0.., on the carry's columns
 
     for i in range(k):
         r0, r1 = offsets[i], offsets[i + 1]
@@ -481,27 +492,19 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
             raise BlockStructureError(
                 f"block row {i + 1} has a nonzero block above the diagonal"
             )
-        # columns r0..r1 are new: zero in every earlier row
-        c, a, s = carry.shape[0], carry.shape[1], r1 - r0
-        grown = np.zeros((c + s, a + s), dtype=data.dtype)
-        grown[:c, :a] = carry
-        grown[c:, :a] = below[:s]
-        grown[c:, a:] = data[r0:r1, r0:r1]
-        lower = np.concatenate([below[s:], data[r1:, r0:r1]], axis=1)
+        # columns r0..r1 are new: zero in the carry, the only earlier rows left
+        carried = active.shape[0] - (n - r0)
+        new = np.zeros((active.shape[0], r1 - r0), dtype=data.dtype)
+        new[carried:] = data[r0:, r0:r1]
+        _, active = _eliminate_units(np.concatenate([active, new], axis=1), carried + r1 - r0, p, N)
 
-        cols, w, carry = _eliminate_units(grown, p, N)
-        unit_pivots += cols.size
-        keep = np.ones(a + s, dtype=bool)
-        keep[cols] = False
-        below = residues(lower[:, keep] - np.dot(lower[:, cols], w), p, q)
-
-    valuations = [0] * unit_pivots
+    valuations = [0] * (n - active.shape[0])  # each unit pivot took one row out
     for v in range(1, N):
-        if not carry.any():  # empty, or every row left is saturated
+        if not active.any():  # empty, or every row left is saturated
             break
-        cols, _, carry = _eliminate_units(carry // p, p, N - v)
+        cols, active = _eliminate_units(active // p, active.shape[0], p, N - v)
         valuations.extend([v] * cols.size)
-    return DivisorValuations(tuple(valuations), carry.shape[0])
+    return DivisorValuations(tuple(valuations), active.shape[0])
 
 
 def residues(a, p: int, q: int):
@@ -511,33 +514,32 @@ def residues(a, p: int, q: int):
     return a & (q - 1) if p == 2 else a % q
 
 
-def _eliminate_units(carry, p: int, precision: int):
-    """One elimination step mod q = p**precision on a carry of residues.
+def _eliminate_units(work, m: int, p: int, precision: int):
+    """One elimination step mod q = p**precision on rows of residues.
 
-    Finds a maximal set of unit pivots (rows R, columns K, with A = carry[R, K]
-    invertible mod p), lifts A**-1 to mod q, and returns (K, W, S): the new
-    pivot rows W = A**-1 carry[R, ~K] on the columns left and the Schur
-    complement S = carry[~R, ~K] - carry[~R, K] W, which is 0 mod p."""
+    Finds a maximal set of unit pivots among the first m rows (rows R,
+    columns K, with A = work[R, K] invertible mod p), lifts A**-1 to mod q,
+    and returns (K, S): S = work[~R, ~K] - work[~R, K] A**-1 work[R, ~K],
+    every row but the pivot rows reduced on the columns left, in order.
+    The searched rows of S are 0 mod p."""
     q = p ** precision
-    rows, cols, inv = _unit_pivots(residues(carry, p, p), p)
+    rows, cols, inv = _unit_pivots(residues(work[:m], p, p), p)
     if not cols.size:
-        return cols, carry[:0], carry
-    top = carry[rows]
+        return cols, work
+    top = work[rows]
     a = top[:, cols]
-    x = inv.astype(carry.dtype)
-    two = 2 * np.identity(cols.size, dtype=carry.dtype)
+    x = inv.astype(work.dtype)
     lifted = 1
-    while lifted < precision:  # Newton: x <- x (2I - a x) doubles the precision
-        x = residues(np.dot(x, residues(two - np.dot(a, x), p, q)), p, q)
+    while lifted < precision:  # Newton: x <- 2x - x (a x) doubles the precision
+        x = residues(2 * x - np.dot(x, residues(np.dot(a, x), p, q)), p, q)
         lifted *= 2
-    keep_rows = np.ones(carry.shape[0], dtype=bool)
+    keep_rows = np.ones(work.shape[0], dtype=bool)
     keep_rows[rows] = False
-    keep_cols = np.ones(carry.shape[1], dtype=bool)
+    keep_cols = np.ones(work.shape[1], dtype=bool)
     keep_cols[cols] = False
     w = residues(np.dot(x, top[:, keep_cols]), p, q)
-    rest = carry[keep_rows]
-    schur = residues(rest[:, keep_cols] - np.dot(rest[:, cols], w), p, q)
-    return cols, w, schur
+    rest = work[keep_rows]
+    return cols, residues(rest[:, keep_cols] - np.dot(rest[:, cols], w), p, q)
 
 
 def _unit_pivots(bits, p: int):

@@ -145,7 +145,12 @@ class TestInputForms:
 
     @pytest.mark.parametrize(
         "bad",
-        [[], [[]], [[1, 2], [3]], np.zeros(3, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)],
+        [
+            [], [[]], [[1, 2], [3]], np.zeros(3, dtype=np.int64), np.zeros((0, 2), dtype=np.int64),
+            # non-integer entries are rejected, never truncated
+            [[2.5]], [[1.9, 0], [0, 1]], np.array([[0.5]]), np.array([[1j]]),
+            np.array([[1.5]], dtype=object),
+        ],
     )
     def test_malformed_input_rejected(self, bad):
         for f in self.EXACT:
@@ -457,6 +462,16 @@ class TestPadicMatrix:
             PadicMatrix([[4]], 2, 2)
         with pytest.raises(ValueError):
             PadicMatrix([[-1]], 2, 2)
+        # floats, complex numbers and non-integer objects at every p, even
+        # inside [0, p**N); and an empty matrix
+        for bad in (np.array([[0.5]]), np.array([[2.5]]), np.array([[1j]]), np.array([[1.5]], dtype=object)):
+            with pytest.raises(ValueError):
+                PadicMatrix(bad, 2, 3)
+            for p in (2, 3):
+                with pytest.raises(ValueError):
+                    reduce_matrix(bad, p, 2)
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            PadicMatrix(np.zeros((0, 0), dtype=np.int64), 2, 2)
 
     def test_data_read_only(self):
         m = PadicMatrix([[1]], 2, 4)
@@ -533,6 +548,32 @@ class TestStreamingBlockEliminate:
             m = reduce_matrix(np.array(rows, dtype=object), 2, N)
             assert m.data.dtype == dtype
             assert_matches_exact(streaming_block_eliminate(m, sizes), rows, 2, N, smith)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_retiling_invariance(self, p):
+        # a block lower triangular matrix stays block lower triangular when
+        # neighbouring blocks merge, which moves where the carry rows end
+        # and the arriving rows begin; the valuations must not move
+        rng = random.Random(200 + p)
+        for _ in range(15):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+            offs = [0, *itertools.accumulate(sizes)]
+            n = offs[-1]
+            rows = [[0] * n for _ in range(n)]
+            for bi in range(len(sizes)):
+                scale = rng.choice([1, 1, p, p * p, 0])
+                for r in range(offs[bi], offs[bi + 1]):
+                    for c in range(offs[bi + 1]):
+                        x = rng.randint(-9, 9)
+                        rows[r][c] = scale * x if c >= offs[bi] else x
+            merged = [sum(sizes[j:j + 2]) for j in range(0, len(sizes), 2)]
+            for N, dtype in ((1, np.int64), (3, np.int64), (40, object)):
+                m = reduce_matrix(rows, p, N)
+                assert m.data.dtype == dtype
+                drawn, pairs, whole = (streaming_block_eliminate(m, t) for t in (sizes, merged, [n]))
+                assert drawn == pairs == whole
+                for got in (drawn, pairs, whole):
+                    assert_matches_exact(got, rows, p, N)
 
     def test_saturation_passes_through(self):
         m = reduce_matrix([[2, 0], [0, 8]], 2, 2)

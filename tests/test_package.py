@@ -5,8 +5,6 @@ import re
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,11 +20,16 @@ def imported_top_level_modules(package: Path) -> set[str]:
 
 
 def declared_dependencies() -> set[str]:
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    """Names in the [project] dependencies array of pyproject.toml.  The
+    array is a list of TOML strings, which is also a Python literal, so it
+    is read with ast.literal_eval: tomllib is new in Python 3.11."""
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    array = project and re.search(r'^dependencies\s*=\s*(\[(?:\s*"[^"]*"\s*,?)*\s*\])', project.group(1), re.M)
+    assert array, "pyproject.toml needs a [project] dependencies array of strings"
     return {
         re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_")
-        for req in project.get("dependencies", [])
+        for req in ast.literal_eval(array.group(1))
     }
 
 
