@@ -56,9 +56,9 @@ from .pgroups import (
     enumerate_subgroups,
     hom_count,
     subgroup_closure,
+    subgroup_count,
 )
 from .theory import (
-    ExcludedTrialError,
     FluctuationParams,
     LMomentValue,
     L_moment,

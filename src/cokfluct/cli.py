@@ -238,7 +238,7 @@ def theory(groups, lambdas, p_, zeta, d):
             lines.append(
                 f"lambda=({','.join(map(str, lam))})  moment={mv.rational} * {mv.scale} = {mv.value}"
             )
-    except ValueError as exc:  # includes the lattice order guard
+    except ValueError as exc:  # includes the 2**12 bound on target groups
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     for line in lines:

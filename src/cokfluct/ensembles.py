@@ -8,10 +8,10 @@ of a product, and a counter-style deterministic seeding contract:
 
 `draw_integers` is the one draw of a trial: the assembled int64 matrix of a
 block trial, or the (k, n, n) int64 factor stack of a product or embedding
-trial.  The samplers reduce that draw mod p**N with `reduce_matrix`, so a
-trial is the same integer matrix at every precision.  Exact callers convert
-the same draw instead, e.g. the exact product
-`functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
+trial.  The samplers reduce that draw mod p**N (`reduce_matrix`, or
+`residues` for a factor stack), so a trial is the same integer matrix at
+every precision.  Exact callers convert the same draw instead, e.g. the
+exact product `functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import PadicMatrix, det_bareiss, product_mod, reduce_matrix
+from .exact_linalg import PadicMatrix, det_bareiss, product_mod, reduce_matrix, residues, widen
 from .pgroups import _is_prime
 
 __all__ = [
@@ -414,10 +414,11 @@ def _require_factor_kind(spec: EnsembleSpec, op: str):
         raise ConfigError(f"{op} needs a matrix_product or bidiagonal_embedding spec")
 
 
-def product_factors(spec: EnsembleSpec, trial: int, precision: int) -> list[PadicMatrix]:
-    """The k iid factor matrices of a product trial, reduced mod p**precision."""
+def product_factors(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray:
+    """The (k, n, n) stack of a product trial's factors, reduced mod p**precision."""
     _require_factor_kind(spec, "product_factors")
-    return [reduce_matrix(f, spec.p, precision) for f in draw_integers(spec, trial)]
+    q = spec.p ** precision
+    return residues(widen(draw_integers(spec, trial), q), spec.p, q)
 
 
 def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatrix:

@@ -64,18 +64,21 @@ class PadicMatrix:
 
     Entries live in [0, p**precision).  Backed by an int64 ndarray when the
     elimination's intermediates fit, by an object ndarray of Python ints
-    otherwise.
+    otherwise.  The entries are validated once; with `reduce` they are
+    reduced mod p**precision instead of range-checked (reduce_matrix).
     """
 
     __slots__ = ("rows", "cols", "p", "precision", "data")
 
-    def __init__(self, data, p: int, precision: int):
+    def __init__(self, data, p: int, precision: int, *, reduce: bool = False):
         if precision < 1:
             raise ValueError("precision must be >= 1")
         arr = _integer_matrix(data)
         q = p ** precision
-        check = arr.astype(object) if (arr.dtype != object and q > np.iinfo(np.int64).max) else arr
-        if not ((check >= 0) & (check < q)).all():
+        arr = widen(arr, q)
+        if reduce:
+            arr = residues(arr, p, q)
+        elif not ((arr >= 0) & (arr < q)).all():
             raise ValueError("entries must lie in [0, p**precision)")
         arr = arr.astype(residue_dtype(q, max(arr.shape)), copy=True)
         arr.setflags(write=False)
@@ -105,11 +108,12 @@ def reduce_matrix(a, p: int, precision: int) -> PadicMatrix:
     """Reduce a 2-D integer array (int64 or object) or nested list entrywise
     mod p**precision; int64 entries are widened to Python ints first when
     the modulus does not fit."""
-    a = _integer_matrix(a)
-    q = p ** precision
-    if q > 2 ** 62 and a.dtype != object:
-        a = a.astype(object)
-    return PadicMatrix(residues(a, p, q), p, precision)
+    return PadicMatrix(a, p, precision, reduce=True)
+
+
+def widen(a: np.ndarray, q: int) -> np.ndarray:
+    """An integer array as Python ints when residues mod q may not fit int64."""
+    return a.astype(object) if q > 2 ** 62 and a.dtype != object else a
 
 
 def _integer_matrix(a) -> np.ndarray:

@@ -229,8 +229,7 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
     elif spec.kind == "matrix_product":
         dv = padic_valuations(sample_product(spec, trial, depth))
     else:
-        factors = [f.data for f in product_factors(spec, trial, depth)]
-        m = PadicMatrix(build_bidiagonal_embedding(factors), spec.p, depth)
+        m = PadicMatrix(build_bidiagonal_embedding(product_factors(spec, trial, depth)), spec.p, depth)
         dv = streaming_block_eliminate(m, (spec.n,) * spec.k)
     partition = (depth,) * dv.saturated_count + dv.partition()
     singular = dv.saturated_count > 0 and _is_singular(spec, trial)
@@ -283,28 +282,28 @@ def validate_run(
     zeta: float,
 ) -> None:
     """Raise ConfigError unless d >= 1, zeta lies in [0, 1), every group is
-    a p-group, every lambda has at most d parts, and every target's subgroup
-    lattice (of G, or of a group of order p**|lambda|) is within the guard
-    of pgroups.enumerate_subgroups."""
+    a p-group, every lambda has at most d parts, and every target's group
+    (G, or the group of type lambda' and order p**|lambda|) is within the
+    order bound of pgroups.chain_count."""
     try:
         FluctuationParams(p, zeta, d)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def check_lattice(what: str, e: int) -> None:
+    def check_order(what: str, e: int) -> None:
         # p**e > guard, without forming p**e for a huge e: p >= 2, so
         # capping e at the guard's bit length keeps the comparison
         if p ** min(e, LATTICE_ORDER_GUARD.bit_length()) > LATTICE_ORDER_GUARD:
-            raise ConfigError(f"{what}: |G| = {p}**{e} exceeds the subgroup lattice guard {LATTICE_ORDER_GUARD}")
+            raise ConfigError(f"{what}: |G| = {p}**{e} exceeds the target order bound {LATTICE_ORDER_GUARD}")
 
     for G in G_list:
         if G.p != p:
             raise ConfigError(f"group {G.label()} is not a {p}-group")
-        check_lattice(f"group {G.label()}", sum(G.lam))
+        check_order(f"group {G.label()}", sum(G.lam))
     for lam in lam_list:
         if len(lam) > d:
             raise ConfigError(f"lambda {tuple(lam)} has more than d={d} parts")
-        check_lattice(f"lambda {tuple(lam)}", sum(lam))
+        check_order(f"lambda {tuple(lam)}", sum(lam))
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
@@ -356,7 +355,7 @@ def run_experiment(
     records = _collect_records(spec, trials, working_depth(d, G_list), workers)
     finite = [r for r in records if not r.singular]
     center = centering(spec.k, params)
-    vectors = [centered_rank_vector(r.partition, 0, spec.k, params) for r in finite]
+    vectors = [centered_rank_vector(r.partition, spec.k, params) for r in finite]
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.master_seed, BOOTSTRAP_TAG]))
     hom_moments = {

@@ -1,7 +1,11 @@
 """Finite abelian p-group combinatorics.
 
-Partitions and their conjugates, Hom counting, exhaustive subgroup lattices
-for small groups, and counts of strictly increasing subgroup chains.
+Partitions and their conjugates, Hom counting, and counts of strictly
+increasing subgroup chains.  Chain counts depend only on the type of the
+group: they are computed from the subgroup counts alpha_lam(mu) by a
+recursion on partitions.  The exhaustive subgroup lattice of a small group
+(enumerate_subgroups) is kept as the element-level reference that the
+oracles and tests compare against.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "hom_count",
     "enumerate_subgroups",
     "subgroup_closure",
+    "subgroup_count",
     "chain_count",
     "ell",
 ]
@@ -31,7 +36,8 @@ LATTICE_ORDER_GUARD = 2 ** 12
 
 
 class LatticeGuardError(ValueError):
-    """Group too large for exhaustive subgroup enumeration."""
+    """Group above the 2**12 order bound on subgroup lattices and chain-count
+    targets."""
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
@@ -198,11 +204,64 @@ def enumerate_subgroups(G: AbelianPGroup) -> SubgroupLattice:
     return SubgroupLattice(G, tuple(canon), leq)
 
 
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """[n choose k]_p: the number of k-dimensional subspaces of GF(p)**n."""
+    num = den = 1
+    for j in range(k):
+        num *= p ** (n - j) - 1
+        den *= p ** (j + 1) - 1
+    return num // den
+
+
+def subgroup_count(lam: Sequence[int], mu: Sequence[int], p: int) -> int:
+    """alpha_lam(mu): the number of subgroups of type `mu` in G_lam,
+
+        prod_i p**(mu'_{i+1} (lam'_i - mu'_i)) [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_p,
+
+    and 0 unless mu is contained in lam (Birkhoff; Delsarte; see Butler,
+    Subgroup lattices and symmetric functions, Mem. AMS 539, 1994)."""
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+        return 0
+    lc = conjugate(lam)
+    mc = conjugate(mu) + (0,) * (len(lc) + 1)  # mu'_j = 0 past mu_1
+    count = 1
+    for i, a in enumerate(lc):
+        b, c = mc[i], mc[i + 1]
+        count *= p ** (c * (a - b)) * _gaussian_binomial(a - c, b - c, p)
+    return count
+
+
+def _subpartitions(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every partition mu with mu_j <= lam_j for all j, () included."""
+    boxes = itertools.product(*(range(part + 1) for part in lam))
+    return [tuple(x for x in mu if x) for mu in boxes if all(a >= b for a, b in zip(mu, mu[1:]))]
+
+
 @lru_cache(maxsize=None)
+def _subgroup_types(p: int, lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(mu, alpha_lam(mu)) for every type mu of a subgroup of G_lam."""
+    return tuple((mu, subgroup_count(lam, mu, p)) for mu in _subpartitions(lam))
+
+
+@lru_cache(maxsize=None)
+def _chains_to(p: int, lam: tuple[int, ...], i: int) -> int:
+    """g_i(lam): chains {0} < H_1 < ... < H_i = G_lam, all inclusions strict.
+
+    H_{i-1} is a proper subgroup of some type mu, so g_i(lam) is the sum of
+    alpha_lam(mu) g_{i-1}(mu) over mu properly inside lam; g_0(lam) = [lam = ()]."""
+    if i == 0:
+        return int(not lam)
+    return sum(a * _chains_to(p, mu, i - 1) for mu, a in _subgroup_types(p, lam) if mu != lam)
+
+
 def chain_count(G: AbelianPGroup, i: int) -> int:
     """Number of chains {0} < H_1 < ... < H_i <= G, all inclusions strict.
 
-    c(G, 0) = 1 (the empty chain); 0 whenever i exceeds ell(G).
+    c(G, 0) = 1 (the empty chain); 0 whenever i exceeds ell(G).  Computed
+    from the type of G alone: c(G, i) is the sum of alpha_lam(mu) g_i(mu)
+    over the types mu of H_i.  Target groups are bounded by |G| <= 2**12.
     """
     if i < 0:
         raise ValueError("chain length must be nonnegative")
@@ -210,20 +269,6 @@ def chain_count(G: AbelianPGroup, i: int) -> int:
         return 1
     if i > ell(G):
         return 0
-    lat = enumerate_subgroups(G)
-    size = len(lat)
-    triv = lat.trivial_index
-    # f[j] = number of strict chains of the current length ending at subgroup j
-    f = [0 if j == triv else 1 for j in range(size)]
-    for _ in range(i - 1):
-        nxt = [0] * size
-        for j in range(size):
-            if j == triv:
-                continue
-            total = 0
-            for jj in range(size):
-                if jj != j and lat.leq[jj][j]:
-                    total += f[jj]
-            nxt[j] = total
-        f = nxt
-    return sum(f)
+    if G.order > LATTICE_ORDER_GUARD:
+        raise LatticeGuardError(f"|G| = {G.order} exceeds {LATTICE_ORDER_GUARD}")
+    return sum(a * _chains_to(G.p, mu, i) for mu, a in _subgroup_types(G.p, G.lam))

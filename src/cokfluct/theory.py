@@ -21,16 +21,11 @@ from .pgroups import AbelianPGroup, as_partition, chain_count, conjugate, ell
 __all__ = [
     "FluctuationParams",
     "LMomentValue",
-    "ExcludedTrialError",
     "limit_rescaled_hom_moment",
     "L_moment",
     "centering",
     "centered_rank_vector",
 ]
-
-
-class ExcludedTrialError(ValueError):
-    """Trial with positive free rank: no finite rank vector to center."""
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,10 @@ def centering(k: int, params: FluctuationParams) -> int:
     return math.floor(x + 0.5)  # x >= 0 here, so +0.5/floor rounds ties up
 
 
-def centered_rank_vector(
-    lam: Sequence[int], free_rank: int, k: int, params: FluctuationParams
-) -> tuple[int, ...]:
-    """(rank(p**(i-1) Gamma) - centering)_{i=1..d}; ranks are the conjugate
-    partition coordinates, so the output is weakly decreasing."""
-    if free_rank > 0:
-        raise ExcludedTrialError("free rank > 0: rank vector undefined for infinite cokernel")
+def centered_rank_vector(lam: Sequence[int], k: int, params: FluctuationParams) -> tuple[int, ...]:
+    """(rank(p**(i-1) Gamma) - centering)_{i=1..d} for a finite cokernel
+    Gamma of type `lam`; ranks are the conjugate partition coordinates, so
+    the output is weakly decreasing."""
     conj = conjugate(as_partition(lam))
     c = centering(k, params)
     return tuple((conj[i] if i < len(conj) else 0) - c for i in range(params.d))

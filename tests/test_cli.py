@@ -284,6 +284,13 @@ class TestTheory:
         assert "G=2:(1,1)  ell=2  c=[1, 4, 3]  limit=3/2" in res.output
         assert "moment=1" in res.output
 
+    def test_largest_targets_finish(self):
+        res = CliRunner().invoke(main, ["theory", "--group", "2:4,4,4"])
+        assert res.exit_code == 0, res.output
+        res = CliRunner().invoke(main, ["theory", "--lam", "8", "--p", "2"])
+        assert res.exit_code == 0, res.output
+        assert "moment=63247905/128" in res.output
+
     def test_lattice_guard_exits_2(self):
         res = CliRunner().invoke(main, ["theory", "--group", "2:13"])
         assert res.exit_code == 2

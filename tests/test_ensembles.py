@@ -264,7 +264,15 @@ class TestProductSampler:
         spec = self.prod_spec(k=1)
         m = sample_product(spec, 0, precision=16)
         f = product_factors(spec, 0, precision=16)
-        assert len(f) == 1 and m == f[0]
+        assert len(f) == 1 and np.array_equal(m.data, f[0])
+
+    def test_factor_stack_widens_past_int64(self):
+        spec = self.prod_spec(k=2, n=2)
+        draw = draw_integers(spec, 3).astype(object)
+        for precision, dtype in ((16, np.int64), (70, object)):
+            f = product_factors(spec, 3, precision)
+            assert f.shape == (2, 2, 2) and f.dtype == dtype
+            assert (f == draw % 2 ** precision).all()
 
     def test_scalar_product(self):
         spec = self.prod_spec(k=2, n=1)
@@ -276,7 +284,7 @@ class TestProductSampler:
     def test_associativity_under_reduction(self):
         spec = self.prod_spec(k=3, n=3)
         for trial in range(5):
-            a, b, c = (np.asarray(f.data, dtype=object) for f in product_factors(spec, trial, precision=16))
+            a, b, c = np.asarray(product_factors(spec, trial, precision=16), dtype=object)
             q = 2 ** 16
             left = np.dot(np.dot(a, b) % q, c) % q
             right = np.dot(a, np.dot(b, c) % q) % q

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -472,6 +473,14 @@ class TestPadicMatrix:
                     reduce_matrix(bad, p, 2)
         with pytest.raises(ValueError, match="matrix dimensions must be positive"):
             PadicMatrix(np.zeros((0, 0), dtype=np.int64), 2, 2)
+
+    def test_reduce_matrix_validates_each_entry_once(self, monkeypatch):
+        index = operator.index
+        calls = []
+        monkeypatch.setattr(operator, "index", lambda x: calls.append(x) or index(x))
+        m = reduce_matrix(np.array([[5, -1], [7, 2 ** 70]], dtype=object), 2, 3)
+        assert len(calls) == 4
+        assert m.data.tolist() == [[5, 7], [7, 0]]
 
     def test_data_read_only(self):
         m = PadicMatrix([[1]], 2, 4)

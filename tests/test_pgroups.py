@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from cokfluct import (
     enumerate_subgroups,
     hom_count,
     subgroup_closure,
+    subgroup_count,
 )
 from helpers import brute_hom_count, chain_counts_via_dfs
 
@@ -128,6 +130,34 @@ class TestSubgroupLattice:
         assert subgroup_closure(G, [(1,)]) == frozenset(G.elements())
 
 
+def subgroup_type(G, H) -> tuple[int, ...]:
+    """Type of a subgroup H (a set of elements) of G, from |H[p**j]| = p**(mu'_1 + ... + mu'_j)."""
+    sums = [0]
+    for j in range(1, max(G.lam, default=0) + 1):
+        killed = sum(1 for h in H if G.scale(G.p ** j, h) == G.zero())
+        sums.append(round(math.log(killed, G.p)))
+    return conjugate(tuple(b - a for a, b in zip(sums, sums[1:]) if b > a))
+
+
+class TestSubgroupCount:
+    def test_examples(self):
+        assert subgroup_count((1, 1), (1,), 2) == 3
+        assert subgroup_count((2,), (1,), 2) == 1
+        assert subgroup_count((2, 1), (1, 1), 3) == 1
+        assert subgroup_count((1,), (2,), 2) == 0
+        assert subgroup_count((1,), (1, 1), 2) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_lattice(self, p):
+        for lam in all_partitions(5):
+            if p ** sum(lam) > 32:
+                continue
+            G = AbelianPGroup(p, lam)
+            by_type = Counter(subgroup_type(G, H) for H in enumerate_subgroups(G).as_sets())
+            for mu in all_partitions(sum(lam)):
+                assert subgroup_count(lam, mu, p) == by_type.get(mu, 0), (lam, mu)
+
+
 class TestChainCount:
     def test_empty_chain(self):
         for lam in [(), (1,), (2, 1), (1, 1, 1)]:
@@ -166,6 +196,33 @@ class TestChainCount:
         for i in range(ell(G) + 1):
             assert chain_count(G, i) == dfs.get(i, 0)
         assert sum(dfs.values()) == sum(chain_count(G, i) for i in range(ell(G) + 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_type_recursion_agrees_with_dfs_to_order_64(self, p):
+        for lam in all_partitions(6):
+            if p ** sum(lam) > 64:
+                continue
+            G = AbelianPGroup(p, lam)
+            dfs = chain_counts_via_dfs(G)
+            for i in range(ell(G) + 2):
+                assert chain_count(G, i) == dfs.get(i, 0), (lam, i)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 4093])
+    def test_closed_forms_on_admitted_groups(self, p):
+        n = 1
+        while p ** n <= 2 ** 12:
+            flags = math.prod((p ** j - 1) // (p - 1) for j in range(1, n + 1))
+            assert chain_count(AbelianPGroup(p, (1,) * n), n) == flags
+            for i in range(n + 2):
+                assert chain_count(AbelianPGroup(p, (n,)), i) == math.comb(n, i)
+            n += 1
+
+    def test_order_bound(self):
+        G = AbelianPGroup(2, (13,))
+        assert chain_count(G, 0) == 1 and chain_count(G, 14) == 0
+        for i in (1, 13):
+            with pytest.raises(LatticeGuardError):
+                chain_count(G, i)
 
 
 class TestEll:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from cokfluct import (
     AbelianPGroup,
-    ExcludedTrialError,
     FluctuationParams,
     L_moment,
     centered_rank_vector,
@@ -91,13 +90,9 @@ class TestCentering:
 
 class TestCenteredRankVector:
     def test_examples(self):
-        assert centered_rank_vector((3, 1), 0, 8, FluctuationParams(2, 0.0, 2)) == (-1, -2)
-        assert centered_rank_vector((), 0, 1, FluctuationParams(2, 0.0, 1)) == (0,)
-        assert centered_rank_vector((2, 2), 0, 4, FluctuationParams(2, 0.0, 3)) == (0, 0, -2)
-
-    def test_free_rank_excluded(self):
-        with pytest.raises(ExcludedTrialError):
-            centered_rank_vector((1,), 1, 4, FluctuationParams(2, 0.0, 1))
+        assert centered_rank_vector((3, 1), 8, FluctuationParams(2, 0.0, 2)) == (-1, -2)
+        assert centered_rank_vector((), 1, FluctuationParams(2, 0.0, 1)) == (0,)
+        assert centered_rank_vector((2, 2), 4, FluctuationParams(2, 0.0, 3)) == (0, 0, -2)
 
     def test_weakly_decreasing_exhaustive(self):
         params = FluctuationParams(2, 0.0, 4)
@@ -112,19 +107,19 @@ class TestCenteredRankVector:
             return out
 
         for lam in partitions(8):
-            vec = centered_rank_vector(lam, 0, 16, params)
+            vec = centered_rank_vector(lam, 16, params)
             assert all(a >= b for a, b in zip(vec, vec[1:]))
 
     @given(st.integers(1, 10 ** 6))
     def test_weakly_decreasing_property(self, k):
         params = FluctuationParams(2, 0.0, 3)
-        vec = centered_rank_vector((4, 2, 2, 1), 0, k, params)
+        vec = centered_rank_vector((4, 2, 2, 1), k, params)
         assert all(a >= b for a, b in zip(vec, vec[1:]))
 
     def test_truncation_only_at_larger_d(self):
         lam = (3, 1)
-        v2 = centered_rank_vector(lam, 0, 8, FluctuationParams(2, 0.0, 2))
-        v4 = centered_rank_vector(lam, 0, 8, FluctuationParams(2, 0.0, 4))
+        v2 = centered_rank_vector(lam, 8, FluctuationParams(2, 0.0, 2))
+        v4 = centered_rank_vector(lam, 8, FluctuationParams(2, 0.0, 4))
         assert v4[:2] == v2
         assert v4[2:] == (conjugate(lam)[2] - 3, 0 - 3)
 
