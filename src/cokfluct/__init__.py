@@ -4,7 +4,6 @@ block lower triangular integer matrices."""
 from .exact_linalg import (
     BlockStructureError,
     CokernelPartition,
-    DivisorValuations,
     PadicMatrix,
     cokernel_partition,
     padic_valuations,

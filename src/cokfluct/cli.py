@@ -135,17 +135,16 @@ def write_report_files(report: ExperimentReport, out_dir: Path, config: RunConfi
                 w.writerow([key, *row.values()])
 
 
-def _parse_group(text: str) -> AbelianPGroup:
-    # "2:3,1" -> p = 2, lambda = (3, 1); "2:" is the trivial 2-group
-    p_str, _, lam_str = text.partition(":")
-    lam = tuple(int(x) for x in lam_str.replace("(", "").replace(")", "").split(",") if x)
-    return AbelianPGroup(int(p_str), as_partition(lam))
-
-
 def _parse_partition(text: str) -> tuple[int, ...]:
     return as_partition(
         int(x) for x in text.replace("(", "").replace(")", "").split(",") if x
     )
+
+
+def _parse_group(text: str) -> AbelianPGroup:
+    # "2:3,1" -> p = 2, lambda = (3, 1); "2:" is the trivial 2-group
+    p_str, _, lam_str = text.partition(":")
+    return AbelianPGroup(int(p_str), _parse_partition(lam_str))
 
 
 @click.group()

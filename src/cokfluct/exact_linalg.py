@@ -1,7 +1,7 @@
 """Exact integer and p-adic linear algebra.
 
 Smith normal form over Z with arbitrary-precision integers, and one
-elimination kernel mod p**N for elementary-divisor p-valuations:
+elimination kernel mod p**N that gives the type of cok(M mod p**N):
 streaming_block_eliminate takes a block lower triangular matrix one block row
 at a time, and padic_valuations is its one-block case.  It keeps one work
 array of rows, and each block row costs one Gauss-Jordan search over GF(p)
@@ -25,14 +25,12 @@ largest modulus the bound admits.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "PadicMatrix",
-    "DivisorValuations",
     "CokernelPartition",
     "BlockStructureError",
     "snf_diagonal",
@@ -136,19 +134,6 @@ def _integer_matrix(a) -> np.ndarray:
     if arr.dtype.kind not in "iu":
         raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
     return arr
-
-
-@dataclass(frozen=True)
-class DivisorValuations:
-    """p-valuations of the elementary divisors resolvable at the working
-    precision, plus the count of diagonal positions that vanished mod p**N."""
-
-    valuations: tuple[int, ...]
-    saturated_count: int
-
-    def partition(self) -> tuple[int, ...]:
-        """Positive valuations, weakly decreasing: the cokernel's p-type."""
-        return tuple(sorted((v for v in self.valuations if v > 0), reverse=True))
 
 
 class CokernelPartition(NamedTuple):
@@ -430,23 +415,23 @@ def cokernel_partition(m, p: int) -> CokernelPartition:
 # Unit-pivot elimination mod p**N
 # ---------------------------------------------------------------------------
 
-def padic_valuations(m: PadicMatrix) -> DivisorValuations:
-    """Elementary-divisor p-valuations of a square matrix mod p**precision.
+def padic_valuations(m: PadicMatrix) -> tuple[int, ...]:
+    """Type of cok(m) for a square matrix of residues mod p**N, a weakly
+    decreasing tuple with parts at most N.
 
     A square matrix is block lower triangular with one block, so this is
-    streaming_block_eliminate with a single block.  Valuations below the
-    precision are exact for any integer lift; positions whose residual block
-    vanished mod p**precision are only known to carry valuation >= precision
-    and are counted as saturated.
+    streaming_block_eliminate with a single block.  Parts below N are exact
+    for any integer lift; a part equal to N is an elementary divisor of
+    valuation >= N, or a free summand, of the lift.
     """
     if m.rows != m.cols:
         raise ValueError("padic_valuations expects a square matrix")
     return streaming_block_eliminate(m, (m.rows,))
 
 
-def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> DivisorValuations:
-    """Elementary-divisor p-valuations of a block lower triangular matrix mod
-    p**precision, eliminated one block row at a time.
+def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> tuple[int, ...]:
+    """Type of cok(m) for a block lower triangular matrix of residues mod
+    p**N, eliminated one block row at a time.
 
     Block row i may be nonzero only in block columns j <= i (diagonal,
     subdiagonal, and strictly-lower fill).  Apart from the GF(p) search, each
@@ -469,10 +454,10 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
 
     After the last block row the carry is divided by p and the modulus
     lowered to p**(N - v), one elimination step per level v, so the units
-    found at level v are divisors of valuation v.  Rows left once the carry
-    vanishes, or at level N, are saturated.  Elementary divisors do not
-    depend on the pivot order, so the result equals that of any two-sided
-    elimination of the assembled matrix.
+    found at level v are parts equal to v.  Rows left once the carry
+    vanishes, or at level N, are saturated: parts equal to N.  Elementary
+    divisors do not depend on the pivot order, so the type equals that of
+    any two-sided elimination of the assembled matrix.
     """
     sizes = [int(s) for s in block_sizes]
     if any(s <= 0 for s in sizes):
@@ -502,13 +487,13 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> Div
         new[carried:] = data[r0:, r0:r1]
         _, active = _eliminate_units(np.concatenate([active, new], axis=1), carried + r1 - r0, p, N)
 
-    valuations = [0] * (n - active.shape[0])  # each unit pivot took one row out
+    parts = []  # weakly increasing: the units found at level v are parts v
     for v in range(1, N):
         if not active.any():  # empty, or every row left is saturated
             break
         cols, active = _eliminate_units(active // p, active.shape[0], p, N - v)
-        valuations.extend([v] * cols.size)
-    return DivisorValuations(tuple(valuations), active.shape[0])
+        parts += [v] * cols.size
+    return (N,) * active.shape[0] + tuple(reversed(parts))
 
 
 def residues(a, p: int, q: int):

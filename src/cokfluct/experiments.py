@@ -24,7 +24,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .ensembles import (
     sample_block_matrix,
     sample_product,
 )
-from .pgroups import LATTICE_ORDER_GUARD, AbelianPGroup, as_partition, hom_count, ell
+from .pgroups import AbelianPGroup, LatticeGuardError, as_partition, check_target_order, hom_count, ell
 from .theory import (
     FluctuationParams,
     L_moment,
@@ -89,7 +89,6 @@ class TrialRecord:
     """Outcome of one trial: the type of Gamma/p**D Gamma (free summands
     show as parts equal to D = precision_used) and whether det M = 0."""
 
-    trial: int
     partition: tuple[int, ...]
     singular: bool
     precision_used: int
@@ -113,11 +112,11 @@ class ExperimentReport:
     center: int
     included_count: int        # nonsingular trials
     free_rank_count: int       # singular trials (positive free rank)
-    saturated_count: int       # always 0; kept in the report schema
     hom_moments: dict[str, MomentEstimate] = field(default_factory=dict)
     l_moments: dict[str, MomentEstimate] = field(default_factory=dict)
     centered_counts: dict[tuple[int, ...], int] = field(default_factory=dict)
     generator: str = GENERATOR_ID
+    saturated_count: ClassVar[int] = 0  # every trial is classified; kept in the report schema
 
     def centered_histogram(self) -> dict[tuple[int, ...], Fraction]:
         """Probability masses; they sum to exactly 1 over recorded trials."""
@@ -151,6 +150,7 @@ class ExperimentReport:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
         counts = config_object(d["counts"], "counts")
+        config_int(counts["saturated"], "counts.saturated")
         return cls(
             spec=EnsembleSpec.from_dict(d["spec"]),
             trials=config_int(d["trials"], "trials"),
@@ -159,7 +159,6 @@ class ExperimentReport:
             center=config_int(d["center"], "center"),
             included_count=config_int(counts["included"], "counts.included"),
             free_rank_count=config_int(counts["free_rank"], "counts.free_rank"),
-            saturated_count=config_int(counts["saturated"], "counts.saturated"),
             hom_moments=_moments_from_dict(d["hom_moments"], "hom_moments"),
             l_moments=_moments_from_dict(d["l_moments"], "l_moments"),
             centered_counts={
@@ -221,19 +220,18 @@ def _is_singular(spec: EnsembleSpec, trial: int) -> bool:
 def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
     """Draw the trial once mod p**depth and eliminate it once.
 
-    A position saturated at depth is a part >= depth or a free summand;
+    A part equal to depth is a part >= depth or a free summand of Gamma;
     only then is singularity in question, and _is_singular settles it."""
     if spec.kind == "block_triangular":
         m = sample_block_matrix(spec, trial, depth)
-        dv = streaming_block_eliminate(m, spec.block_sizes)
+        partition = streaming_block_eliminate(m, spec.block_sizes)
     elif spec.kind == "matrix_product":
-        dv = padic_valuations(sample_product(spec, trial, depth))
+        partition = padic_valuations(sample_product(spec, trial, depth))
     else:
         m = PadicMatrix(build_bidiagonal_embedding(product_factors(spec, trial, depth)), spec.p, depth)
-        dv = streaming_block_eliminate(m, (spec.n,) * spec.k)
-    partition = (depth,) * dv.saturated_count + dv.partition()
-    singular = dv.saturated_count > 0 and _is_singular(spec, trial)
-    return TrialRecord(trial, partition, singular, depth)
+        partition = streaming_block_eliminate(m, (spec.n,) * spec.k)
+    singular = partition[:1] == (depth,) and _is_singular(spec, trial)
+    return TrialRecord(partition, singular, depth)
 
 
 def worker_budget(workers: int) -> int:
@@ -290,20 +288,20 @@ def validate_run(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def check_order(what: str, e: int) -> None:
-        # p**e > guard, without forming p**e for a huge e: p >= 2, so
-        # capping e at the guard's bit length keeps the comparison
-        if p ** min(e, LATTICE_ORDER_GUARD.bit_length()) > LATTICE_ORDER_GUARD:
-            raise ConfigError(f"{what}: |G| = {p}**{e} exceeds the target order bound {LATTICE_ORDER_GUARD}")
-
+    targets = []  # (what, e) for a target group of order p**e
     for G in G_list:
         if G.p != p:
             raise ConfigError(f"group {G.label()} is not a {p}-group")
-        check_order(f"group {G.label()}", sum(G.lam))
+        targets.append((f"group {G.label()}", ell(G)))
     for lam in lam_list:
         if len(lam) > d:
             raise ConfigError(f"lambda {tuple(lam)} has more than d={d} parts")
-        check_order(f"lambda {tuple(lam)}", sum(lam))
+        targets.append((f"lambda {tuple(lam)}", sum(lam)))
+    for what, e in targets:
+        try:
+            check_target_order(p, e)
+        except LatticeGuardError as exc:
+            raise ConfigError(f"{what}: {exc}") from None
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
@@ -383,7 +381,6 @@ def run_experiment(
         center=center,
         included_count=len(finite),
         free_rank_count=len(records) - len(finite),
-        saturated_count=0,
         hom_moments=hom_moments,
         l_moments=l_moments,
         centered_counts=dict(Counter(vectors)),

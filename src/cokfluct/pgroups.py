@@ -20,6 +20,7 @@ __all__ = [
     "AbelianPGroup",
     "SubgroupLattice",
     "LatticeGuardError",
+    "check_target_order",
     "as_partition",
     "conjugate",
     "hom_count",
@@ -38,6 +39,14 @@ LATTICE_ORDER_GUARD = 2 ** 12
 class LatticeGuardError(ValueError):
     """Group above the 2**12 order bound on subgroup lattices and chain-count
     targets."""
+
+
+def check_target_order(p: int, e: int) -> None:
+    """Raise LatticeGuardError when p**e exceeds the order bound.  p >= 2, so
+    capping e at the bound's bit length keeps the comparison without forming
+    p**e, and the message names e, never the digits of p**e."""
+    if p ** min(e, LATTICE_ORDER_GUARD.bit_length()) > LATTICE_ORDER_GUARD:
+        raise LatticeGuardError(f"|G| = {p}**{e} exceeds {LATTICE_ORDER_GUARD}")
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
@@ -176,8 +185,7 @@ def enumerate_subgroups(G: AbelianPGroup) -> SubgroupLattice:
     subgroup is built from the trivial one by adjoining generators one at a
     time; deduplication is by element set.
     """
-    if G.order > LATTICE_ORDER_GUARD:
-        raise LatticeGuardError(f"|G| = {G.order} exceeds {LATTICE_ORDER_GUARD}")
+    check_target_order(G.p, ell(G))
     elems = G.elements()
     trivial = frozenset({G.zero()})
     seen = {trivial}
@@ -269,6 +277,5 @@ def chain_count(G: AbelianPGroup, i: int) -> int:
         return 1
     if i > ell(G):
         return 0
-    if G.order > LATTICE_ORDER_GUARD:
-        raise LatticeGuardError(f"|G| = {G.order} exceeds {LATTICE_ORDER_GUARD}")
+    check_target_order(G.p, ell(G))
     return sum(a * _chains_to(G.p, mu, i) for mu, a in _subgroup_types(G.p, G.lam))

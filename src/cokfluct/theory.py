@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .pgroups import AbelianPGroup, as_partition, chain_count, conjugate, ell
+from .pgroups import AbelianPGroup, as_partition, chain_count, check_target_order, conjugate, ell
 
 __all__ = [
     "FluctuationParams",
@@ -69,10 +69,9 @@ def L_moment(lam: Sequence[int], params: FluctuationParams) -> LMomentValue:
     if len(lam) > params.d:
         raise ValueError(f"lambda has {len(lam)} parts, more than d={params.d}")
     size = sum(lam)
-    G = AbelianPGroup(params.p, conjugate(lam))
-    rational = Fraction(chain_count(G, size), math.factorial(size))
-    scale = params.p ** (-params.zeta * size)
-    return LMomentValue(rational, scale)
+    check_target_order(params.p, size)  # |G_lam'| = p**|lam|, checked before lam' is built
+    rational = limit_rescaled_hom_moment(AbelianPGroup(params.p, conjugate(lam)))
+    return LMomentValue(rational, params.p ** (-params.zeta * size))
 
 
 def centering(k: int, params: FluctuationParams) -> int:

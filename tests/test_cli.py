@@ -295,6 +295,18 @@ class TestTheory:
         res = CliRunner().invoke(main, ["theory", "--group", "2:13"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args, order", [
+        (["--group", "2:3000000"], "2**3000000"),
+        (["--lam", "300000", "--d", "1"], "2**300000"),
+        (["--lam", "3000000", "--d", "1"], "2**3000000"),
+    ])
+    def test_huge_target_exits_2_naming_its_order(self, args, order):
+        # |G| has more digits than Python converts to a string, and lambda'
+        # of a 3000000-box lambda is never built
+        res = CliRunner().invoke(main, ["theory", *args])
+        assert res.exit_code == 2, res.output
+        assert f"config error: |G| = {order} exceeds 4096" in res.output
+
 
 class TestCompare:
     def test_self_compare(self, tmp_path):

@@ -367,7 +367,7 @@ class TestCompareEnsembles:
         return ExperimentReport(
             spec=rep.spec, trials=rep.trials, d=rep.d, zeta=rep.zeta,
             center=rep.center, included_count=sum(counts.values()),
-            free_rank_count=0, saturated_count=0,
+            free_rank_count=0,
             hom_moments={}, l_moments=dict(rep.l_moments),
             centered_counts=counts,
         )

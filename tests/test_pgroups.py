@@ -16,6 +16,7 @@ from cokfluct import (
     subgroup_closure,
     subgroup_count,
 )
+from cokfluct.pgroups import check_target_order
 from helpers import brute_hom_count, chain_counts_via_dfs
 
 
@@ -223,6 +224,23 @@ class TestChainCount:
         for i in (1, 13):
             with pytest.raises(LatticeGuardError):
                 chain_count(G, i)
+
+    @pytest.mark.parametrize("p, admitted", [(2, 12), (3, 7), (5, 5), (4099, 0)])
+    def test_one_bound_for_every_target(self, p, admitted):
+        # the largest admitted exponent is floor(log_p 4096); above it the
+        # message names the exponent, also where p**e has more digits than
+        # Python converts to a string
+        check_target_order(p, admitted)
+        for e in (admitted + 1, 3_000_000):
+            with pytest.raises(LatticeGuardError, match=rf"\|G\| = {p}\*\*{e} exceeds 4096"):
+                check_target_order(p, e)
+
+    def test_guards_name_the_exponent_of_a_huge_group(self):
+        G = AbelianPGroup(2, (3_000_000,))
+        with pytest.raises(LatticeGuardError, match=r"2\*\*3000000"):
+            chain_count(G, 1)
+        with pytest.raises(LatticeGuardError, match=r"2\*\*3000000"):
+            enumerate_subgroups(G)
 
 
 class TestEll:
