@@ -27,11 +27,13 @@ from .experiments import (
     ExperimentReport,
     MomentEstimate,
     TrialRecord,
+    UnsettledTrial,
     compare_ensembles,
     hom_moment_of_trial,
     run_experiment,
     run_trial,
     total_variation,
+    trial_records,
 )
 from .oracles import (
     FiniteSupportMatrixLaw,

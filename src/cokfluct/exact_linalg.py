@@ -14,12 +14,12 @@ exact routines copy them into rows of Python ints before any arithmetic.
 
 Two batched routines serve stacks of square matrices: product_mod multiplies
 a stack mod q by a pairwise tree of np.matmul calls, and dets_vanish_mod
-tells which determinants vanish mod a word-size prime.  Both compute in
-float64 wherever every intermediate is an integer below 2**53, so the BLAS
-arithmetic is exact integer arithmetic (word-size prime fields in floating
-point, as in FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008);
-residues are then kept symmetric, |r| <= q // 2 + 1, which doubles the
-largest modulus the bound admits.
+tells which determinants vanish mod a word-size prime by one elimination of
+the whole stack.  Both compute in float64 wherever every intermediate is an
+integer below 2**53, so the BLAS arithmetic is exact integer arithmetic
+(word-size prime fields in floating point, as in FFLAS-FFPACK: Dumas, Giorgi
+& Pernet, ACM TOMS 35(3), 2008); residues are then kept symmetric,
+|r| <= q // 2 + 1, which doubles the largest modulus the bound admits.
 """
 
 from __future__ import annotations
@@ -303,32 +303,20 @@ def rational_rank(m) -> int:
 
 def dets_vanish_mod(blocks, prime: int) -> np.ndarray:
     """For a (b, m, m) stack of integer matrices, whether each determinant
-    is 0 mod `prime`.
+    is 0 mod `prime`, by one batched elimination over GF(prime) in float64
+    symmetric residues.
 
-    det(B_1 ... B_b) = det(B_1) ... det(B_b) and GF(prime) is a field, so
-    one determinant of the product (product_mod) screens the whole stack:
-    when it is nonzero, no block's determinant vanishes.  Only when it
-    vanishes, or for one block, does the batched elimination run on every
-    block.  The elimination keeps float64 symmetric residues and combines
-    rows as piv * row_i - a_it * row_t, which scales a determinant only by
-    nonzero pivots, so no inverses are needed.  prime < 2**26 keeps that
-    combination, at most 2 (prime // 2 + 1)**2 in absolute value, below
-    2**52, so it is exact; a residue is then 0 exactly when the entry is
-    0 mod prime, which is what the pivot search tests."""
+    Step t swaps a nonzero of column t into row t, if there is one, and
+    combines rows as piv * row_i - a_it * row_t, which scales a determinant
+    only by nonzero pivots, so no inverses are needed.  Row t is never
+    touched again, so the triangular result keeps every pivot on the
+    diagonal and a determinant vanishes exactly when a diagonal entry does.
+    prime < 2**26 keeps that combination, at most 2 (prime // 2 + 1)**2 in
+    absolute value, below 2**52, so it is exact; a residue is then 0
+    exactly when the entry is 0 mod prime, which is what the pivot search
+    tests."""
     if not 2 <= prime < 2 ** 26:
         raise ValueError(f"dets_vanish_mod needs a prime below 2**26, got {prime}")
-    blocks = np.asarray(blocks)
-    if len(blocks) > 1 and not _vanish_mod(product_mod(blocks, prime, prime)[None], prime)[0]:
-        return np.zeros(len(blocks), dtype=bool)
-    return _vanish_mod(blocks, prime)
-
-
-def _vanish_mod(blocks, prime: int) -> np.ndarray:
-    """Batched elimination over GF(prime) of a (b, m, m) integer stack in
-    float64 symmetric residues: whether each determinant vanishes.  Step t
-    swaps a nonzero of column t into row t, if there is one, and row t is
-    never touched again, so the triangular result keeps every pivot on the
-    diagonal and a determinant vanishes exactly when a diagonal entry does."""
     a = _float_residues(blocks, prime, prime)
     b, m, _ = a.shape
     idx = np.arange(b)

@@ -9,6 +9,13 @@ the type of Gamma/p**D Gamma = cok(M mod p**D), free summands showing as
 parts equal to D.  Only the exclusion of singular trials (det M = 0) from
 the rank statistics needs more, and an exact certificate settles it.
 
+The certificate runs only for a trial whose type has a part equal to D.
+While its draw is at hand, run_trial multiplies the trial's determinant
+blocks mod a word-size prime into one screen matrix; trial_records then
+settles a chunk of trials with one batched determinant of all their
+screens mod that prime, and only a trial whose screen vanishes is redrawn
+for the exact check.
+
 Aggregation yields empirical rescaled Hom-moments, moments of the centered
 rank vector, and the centered-vector histogram, with bootstrap percentile
 confidence intervals (1000 resamples) and theory targets attached.
@@ -32,6 +39,7 @@ from .exact_linalg import (
     PadicMatrix,
     dets_vanish_mod,
     padic_valuations,
+    product_mod,
     rational_rank,
     streaming_block_eliminate,
 )
@@ -63,6 +71,7 @@ from .ensembles import factor_determinants  # noqa: F401
 
 __all__ = [
     "TrialRecord",
+    "UnsettledTrial",
     "MomentEstimate",
     "ExperimentReport",
     "ComparisonSummary",
@@ -72,6 +81,7 @@ __all__ = [
     "validate_run",
     "worker_budget",
     "run_trial",
+    "trial_records",
     "run_experiment",
     "hom_moment_of_trial",
     "compare_ensembles",
@@ -82,6 +92,7 @@ CERTIFICATE_PRIME = 1_000_003  # below 2**26, so dets_vanish_mod computes exactl
 WORKERS_ENV_VAR = "COKFLUCT_WORKERS"
 BOOTSTRAP_TAG = 0xB007
 BOOTSTRAP_RESAMPLES = 1000
+SETTLE_CHUNK = 256  # trials settled together: at most this many screens are stacked
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,19 @@ class TrialRecord:
     partition: tuple[int, ...]
     singular: bool
     precision_used: int
+
+
+@dataclass(frozen=True)
+class UnsettledTrial:
+    """One trial before its singularity is settled: the type of
+    Gamma/p**D Gamma and, when a part equals D = precision_used, the
+    certificate's screen, the product of determinant_blocks mod
+    CERTIFICATE_PRIME (None otherwise).  It has no `singular` field, so
+    only trial_records makes it a TrialRecord."""
+
+    partition: tuple[int, ...]
+    precision_used: int
+    screen: np.ndarray | None = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -150,7 +174,8 @@ class ExperimentReport:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
         counts = config_object(d["counts"], "counts")
-        config_int(counts["saturated"], "counts.saturated")
+        if config_int(counts["saturated"], "counts.saturated") != cls.saturated_count:
+            raise ConfigError(f"counts.saturated must be {cls.saturated_count}, got {counts['saturated']}")
         return cls(
             spec=EnsembleSpec.from_dict(d["spec"]),
             trials=config_int(d["trials"], "trials"),
@@ -205,23 +230,12 @@ def working_depth(d: int, G_list: Sequence[AbelianPGroup]) -> int:
     return max([d] + [max(G.lam, default=0) for G in G_list])
 
 
-def _is_singular(spec: EnsembleSpec, trial: int) -> bool:
-    """det M = 0, exactly: det M is the product of the determinants of
-    determinant_blocks, and a block is checked by exact rational rank only
-    when its determinant vanishes mod CERTIFICATE_PRIME."""
-    blocks = determinant_blocks(spec, trial)
-    m = blocks.shape[1]
-    return any(
-        rational_rank(blocks[i]) < m
-        for i in np.flatnonzero(dets_vanish_mod(blocks, CERTIFICATE_PRIME))
-    )
-
-
-def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
+def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> UnsettledTrial:
     """Draw the trial once mod p**depth and eliminate it once.
 
     A part equal to depth is a part >= depth or a free summand of Gamma;
-    only then is singularity in question, and _is_singular settles it."""
+    only then is singularity in question, and the trial's screen is
+    computed from the same cached draw for trial_records to settle."""
     if spec.kind == "block_triangular":
         m = sample_block_matrix(spec, trial, depth)
         partition = streaming_block_eliminate(m, spec.block_sizes)
@@ -230,8 +244,40 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> TrialRecord:
     else:
         m = PadicMatrix(build_bidiagonal_embedding(product_factors(spec, trial, depth)), spec.p, depth)
         partition = streaming_block_eliminate(m, (spec.n,) * spec.k)
-    singular = partition[:1] == (depth,) and _is_singular(spec, trial)
-    return TrialRecord(partition, singular, depth)
+    screen = None
+    if partition[:1] == (depth,):
+        screen = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+    return UnsettledTrial(partition, depth, screen)
+
+
+def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list[TrialRecord]:
+    """One settled TrialRecord per trial of a chunk, in order.
+
+    run_trial runs once per trial; then one batched elimination takes the
+    determinant of every screen mod CERTIFICATE_PRIME.  det M is the
+    product of the determinants of determinant_blocks and GF(prime) is a
+    field, so a nonzero screen determinant makes the trial nonsingular.  A
+    trial whose screen vanishes redraws its blocks, takes each block's
+    determinant mod the prime in one batched elimination, and checks exact
+    rational rank, in block order, of each block whose determinant vanishes
+    there, up to the first singular one."""
+    unsettled = [run_trial(spec, t, depth) for t in trials]
+    screened = [i for i, u in enumerate(unsettled) if u.screen is not None]
+    vanishing = np.zeros(len(unsettled), dtype=bool)
+    if screened:
+        stack = np.stack([unsettled[i].screen for i in screened])
+        vanishing[screened] = dets_vanish_mod(stack, CERTIFICATE_PRIME)
+    records = []
+    for t, u, vanishes in zip(trials, unsettled, vanishing):
+        singular = False
+        if vanishes:
+            blocks = determinant_blocks(spec, t)
+            singular = any(
+                rational_rank(blocks[b]) < blocks.shape[1]
+                for b in np.flatnonzero(dets_vanish_mod(blocks, CERTIFICATE_PRIME))
+            )
+        records.append(TrialRecord(u.partition, singular, u.precision_used))
+    return records
 
 
 def worker_budget(workers: int) -> int:
@@ -250,17 +296,24 @@ def worker_budget(workers: int) -> int:
 
 
 def _collect_records(spec: EnsembleSpec, trials: int, depth: int, workers: int) -> list[TrialRecord]:
-    """One TrialRecord per trial, in trial order: pool.map returns results
-    in input order.  run_trial is looked up per call, so a wrapper installed
-    in this module's namespace (benchmarks/child.py) wraps every trial of a
-    serial run.  At most one process per trial and per usable CPU starts."""
+    """One settled TrialRecord per trial, in trial order: the trials are cut
+    into consecutive chunks, trial_records settles each chunk, and pool.map
+    returns the chunks in input order.  A serial run uses chunks of
+    SETTLE_CHUNK trials; a pool run uses about eight chunks per worker, at
+    most SETTLE_CHUNK trials each.  Every trial's outcome is exact, so the
+    chunking does not change any record.  run_trial is looked up per call,
+    so a wrapper installed in this module's namespace (benchmarks/child.py)
+    wraps every trial of a serial run.  At most one process per trial and
+    per usable CPU starts."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(worker_budget(workers), trials, cpus)
-    trial = functools.partial(run_trial, spec, depth=depth)
+    size = SETTLE_CHUNK if workers <= 1 else min(SETTLE_CHUNK, max(1, trials // (workers * 8)))
+    chunks = [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+    settle = functools.partial(trial_records, spec, depth=depth)
     if workers <= 1:
-        return [trial(t) for t in range(trials)]
+        return [r for chunk in chunks for r in settle(chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial, range(trials), chunksize=max(1, trials // (workers * 8))))
+        return [r for records in pool.map(settle, chunks) for r in records]
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,22 @@ class TestCompare:
         assert res.exit_code == 2, res.output
         assert f"config error: {field} must be an integer" in res.output
 
+    @pytest.mark.parametrize("value, code", [(5, 2), (0, 0)])
+    def test_saturated_count_must_be_zero(self, tmp_path, value, code):
+        # every trial is classified, so a report claiming saturated trials
+        # was not written by simulate
+        runner = CliRunner()
+        cfg = make_config(tmp_path, trials=20)
+        runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        path = tmp_path / "x" / "report.json"
+        raw = json.loads(path.read_text())
+        raw["counts"]["saturated"] = value
+        path.write_text(json.dumps(raw))
+        res = runner.invoke(main, ["compare", str(path), str(path)])
+        assert res.exit_code == code, res.output
+        if code:
+            assert "config error: counts.saturated must be 0, got 5" in res.output
+
     @pytest.mark.parametrize(
         "path,value,message",
         [

@@ -248,42 +248,11 @@ class TestDetsVanishMod:
                 mats.append(m)
         return mats
 
-    @pytest.fixture
-    def eliminations(self, monkeypatch):
-        """Shapes of the stacks handed to the batched elimination."""
-        shapes = []
-        real = exact_linalg._vanish_mod
-
-        def spy(blocks, prime):
-            shapes.append(np.shape(blocks))
-            return real(blocks, prime)
-
-        monkeypatch.setattr(exact_linalg, "_vanish_mod", spy)
-        return shapes
-
-    def test_all_nonsingular_settled_by_product_screen(self, eliminations):
-        mats = self.nonsingular_stack(30, 6, 1_000_003, 31)
-        assert dets_vanish_mod(np.array(mats), 1_000_003).tolist() == [False] * 30
-        assert eliminations == [(1, 6, 6)]
-
-    def test_one_block_vanishing_mod_prime_runs_fallback(self, eliminations):
-        # diag(1000003, 1, ...) is nonsingular over Q but vanishes mod the prime
-        mats = self.nonsingular_stack(9, 5, 1_000_003, 37)
-        mats[4] = np.diag([1_000_003, 1, 1, 1, 1]).tolist()
-        got = dets_vanish_mod(np.array(mats), 1_000_003)
-        assert got.tolist() == [i == 4 for i in range(9)]
-        assert eliminations == [(1, 5, 5), (9, 5, 5)]
-
     def test_exactly_singular_block(self):
         mats = self.nonsingular_stack(7, 4, 1_000_003, 41)
         mats[6] = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]]
         assert det_bareiss(mats[6]) == 0
         assert dets_vanish_mod(np.array(mats), 1_000_003).tolist() == [i == 6 for i in range(7)]
-
-    def test_single_block_skips_screen(self, eliminations):
-        assert dets_vanish_mod(np.array([[[3, 1], [1, 3]]]), 2).tolist() == [True]
-        assert dets_vanish_mod(np.array([[[3, 1], [1, 3]]]), 7).tolist() == [False]
-        assert eliminations == [(1, 2, 2), (1, 2, 2)]
 
     @pytest.mark.parametrize("prime", [2, 3, 7, 1_000_003])
     def test_screen_edge_cases_match_bareiss(self, prime):
@@ -304,7 +273,6 @@ class TestDetsVanishMod:
         twin[:, 3, 3] += 1
         for stack in (mats, zero, last, twin):
             want = [det_bareiss(b) % prime == 0 for b in stack]
-            assert exact_linalg._vanish_mod(stack, prime).tolist() == want
             assert dets_vanish_mod(stack, prime).tolist() == want
         assert all(det_bareiss(b) % prime == 0 for b in last)
         assert not any(det_bareiss(b) % prime == 0 for b in twin)

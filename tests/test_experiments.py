@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from cokfluct import (
     run_experiment,
     run_trial,
     total_variation,
+    trial_records,
     verify_moment_identity,
 )
 from cokfluct.exact_linalg import rational_rank
@@ -47,6 +49,11 @@ def _valuation(x, p):
     return v
 
 
+def settled(spec, trial, depth):
+    """The settled record of one trial."""
+    return trial_records(spec, [trial], depth)[0]
+
+
 def toy_spec(**kw):
     base = dict(
         p=2, kind="matrix_product", k=1, n=1,
@@ -69,16 +76,24 @@ class TestHomMomentOfTrial:
 class TestRunTrial:
     def test_deterministic(self):
         spec = toy_spec()
-        assert run_trial(spec, 5, 3) == run_trial(spec, 5, 3)
+        assert settled(spec, 5, 3) == settled(spec, 5, 3)
 
     def test_zero_matrix_resolved_exactly(self):
         # with uniform mod 2 entries, some trial draws the 1x1 zero matrix,
         # whose cokernel Z shows as Z/2**3 at depth 3
         spec = toy_spec()
-        free = [run_trial(spec, t, 3) for t in range(20) if run_trial(spec, t, 3).singular]
+        free = [settled(spec, t, 3) for t in range(20) if settled(spec, t, 3).singular]
         assert free, "expected at least one singular draw"
         rec = free[0]
         assert rec.partition == (3,) and rec.precision_used == 3
+
+    def test_run_trial_leaves_singularity_unsettled(self):
+        # trial 1 draws the zero matrix; run_trial keeps its screen but has
+        # no singular flag, so only trial_records can settle it
+        rec = run_trial(toy_spec(), 1, 3)
+        assert not hasattr(rec, "singular")
+        assert rec.partition == (3,) and rec.screen.tolist() == [[0]]
+        assert settled(toy_spec(), 1, 3).singular
 
     @pytest.mark.parametrize("kind", ["block_triangular", "matrix_product", "bidiagonal_embedding"])
     def test_one_draw_per_trial(self, monkeypatch, kind):
@@ -121,7 +136,7 @@ class TestRunTrial:
             spec = toy_spec(k=40, n=10, A_dist=dist, master_seed=seed)
             for trial in range(20):
                 calls.clear()
-                rec = run_trial(spec, trial, 3)
+                rec = settled(spec, trial, 3)
                 if 3 not in rec.partition:  # nothing saturated, no certificate
                     assert not calls
                     continue
@@ -149,11 +164,11 @@ class TestRunTrial:
         part, free = cokernel_partition(draw_integers(spec, 0), 2)
         assert free == 0 and part
         for depth in (1, 3, 64):
-            rec = run_trial(spec, 0, depth)
+            rec = settled(spec, 0, depth)
             assert rec.precision_used == depth
             assert not rec.singular
             assert rec.partition == truncated_type(part, free, depth)
-        assert run_trial(spec, 0, 64).partition == part
+        assert settled(spec, 0, 64).partition == part
 
 
 class TestRunTrialDifferential:
@@ -178,10 +193,160 @@ class TestRunTrialDifferential:
         )
         spec = EnsembleSpec(p=p, kind=kind, k=k, A_dist=dist, master_seed=seed, **shape)
         part, free = cokernel_partition(exact_int_matrix(spec, trial), p)
-        rec = run_trial(spec, trial, depth)
+        rec = settled(spec, trial, depth)
         assert rec.partition == truncated_type(part, free, depth)
         assert rec.singular == (free > 0)
         assert rec.precision_used == depth
+
+
+class TestTrialRecords:
+    """trial_records settles a chunk: one batched determinant of every
+    screen mod the certificate prime, then the per-block fallback and
+    exact rational rank only for a trial whose screen vanishes."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """Shapes of the stacks handed to the batched elimination."""
+        from cokfluct import experiments
+
+        shapes = []
+        real = experiments.dets_vanish_mod
+
+        def spy(blocks, prime):
+            shapes.append(np.shape(blocks))
+            return real(blocks, prime)
+
+        monkeypatch.setattr(experiments, "dets_vanish_mod", spy)
+        return shapes
+
+    @pytest.fixture
+    def ranks(self, monkeypatch):
+        """Matrices handed to exact rational rank."""
+        from cokfluct import experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "rational_rank", lambda m: calls.append(m) or rational_rank(m))
+        return calls
+
+    def test_all_nonsingular_settled_by_product_screen(self, eliminations, ranks):
+        # products of 30 factors are even at depth 1, so every trial has a
+        # screen, and none vanishes mod the prime
+        spec = toy_spec(k=30, n=6, A_dist=EntryDistribution.uniform_range(-100, 100), master_seed=31)
+        records = trial_records(spec, range(40), 1)
+        assert all(r.partition[:1] == (1,) and not r.singular for r in records)
+        assert eliminations == [(40, 6, 6)]
+        assert not ranks
+
+    def test_one_block_vanishing_mod_prime_runs_fallback(self, eliminations, ranks):
+        # 1x1 factors from {2, 3, 1000003}: a trial has a screen at depth 1
+        # when some factor is even, and it vanishes when some factor is the
+        # prime, which is still nonsingular over Q
+        from cokfluct.experiments import CERTIFICATE_PRIME
+
+        dist = EntryDistribution.finite_support([(2, 1), (3, 1), (CERTIFICATE_PRIME, 1)])
+        spec = toy_spec(k=3, A_dist=dist, master_seed=37)
+        factors = [draw_integers(spec, t).ravel().tolist() for t in range(30)]
+        screened = [f for f in factors if 2 in f]
+        vanishing = [f for f in screened if CERTIFICATE_PRIME in f]
+        assert 0 < len(vanishing) < len(screened)
+        records = trial_records(spec, range(30), 1)
+        assert not any(r.singular for r in records)
+        assert eliminations == [(len(screened), 1, 1)] + [(3, 1, 1)] * len(vanishing)
+        assert len(ranks) == sum(f.count(CERTIFICATE_PRIME) for f in vanishing)
+
+    def test_single_block_falls_back_only_on_vanishing_screen(self, eliminations):
+        # one 2x2 block with entries in [-2, 2]: |det| <= 8, so an even det
+        # has a screen at depth 1, and only det 0 vanishes mod the prime
+        from cokfluct.exact_linalg import det_bareiss
+
+        spec = toy_spec(n=2, A_dist=EntryDistribution.uniform_range(-2, 2), master_seed=38)
+        dets = [det_bareiss(draw_integers(spec, t)[0]) for t in range(60)]
+        screened = sum(d % 2 == 0 for d in dets)
+        vanishing = dets.count(0)
+        assert 0 < vanishing < screened
+        records = trial_records(spec, range(60), 1)
+        assert [r.singular for r in records] == [d == 0 for d in dets]
+        assert eliminations == [(screened, 2, 2)] + [(1, 2, 2)] * vanishing
+
+
+class TestTrialRecordsDifferential:
+    """Settled runs spanning several chunks against exact arithmetic."""
+
+    @staticmethod
+    def assert_drawn_once_plus_redraws(draws, trials, vanishing):
+        """Every trial is drawn once, and drawn again only when its screen
+        vanishes; it may skip the redraw only as the last trial of its chunk,
+        whose draw can still be the cached one."""
+        from cokfluct.experiments import SETTLE_CHUNK
+
+        redrawn = draws - Counter(range(trials))
+        chunk_ends = {min(start + SETTLE_CHUNK, trials) - 1 for start in range(0, trials, SETTLE_CHUNK)}
+        assert set(draws) == set(range(trials))
+        assert all(c == 1 for c in redrawn.values())
+        assert vanishing - chunk_ends <= set(redrawn) <= vanishing
+        assert len(vanishing - chunk_ends) > 0
+
+    @staticmethod
+    def collect(monkeypatch, spec, trials, depth):
+        """Serial records of `trials` trials, and how often each trial was drawn."""
+        from cokfluct import ensembles, experiments
+
+        draws = []
+        rng = ensembles.trial_rng
+        monkeypatch.setattr(ensembles, "trial_rng", lambda *a: draws.append(a[1]) or rng(*a))
+        ensembles.draw_integers.cache_clear()
+        records = experiments._collect_records(spec, trials, depth, 1)
+        monkeypatch.setattr(ensembles, "trial_rng", rng)
+        return records, Counter(draws)
+
+    @pytest.mark.parametrize("kind, dist", [
+        ("block_triangular", EntryDistribution.uniform_range(-3, 3)),
+        ("matrix_product", EntryDistribution.uniform_range(-3, 3)),
+        ("matrix_product", EntryDistribution.uniform_mod(2)),  # mostly singular
+        ("bidiagonal_embedding", EntryDistribution.uniform_mod(2)),
+    ])
+    def test_singular_flags_match_exact_snf(self, monkeypatch, kind, dist):
+        from cokfluct.experiments import CERTIFICATE_PRIME, SETTLE_CHUNK
+        from cokfluct.exact_linalg import det_bareiss
+
+        trials, depth = 2 * SETTLE_CHUNK + 37, 1
+        shape = (
+            dict(block_sizes=(2, 3, 2), B_dist=EntryDistribution.uniform_range(-9, 9))
+            if kind == "block_triangular" else dict(n=3)
+        )
+        spec = EnsembleSpec(p=2, kind=kind, k=3, A_dist=dist, master_seed=4242, **shape)
+        exact = [exact_int_matrix(spec, t) for t in range(trials)]
+        free = [cokernel_partition(m, 2).free_rank > 0 for m in exact]
+        records, draws = self.collect(monkeypatch, spec, trials, depth)
+
+        assert [r.singular for r in records] == free
+        assert 0 < sum(free) < trials
+        # a screen vanishes mod the prime exactly when det M does
+        vanishing = {
+            t for t, r in enumerate(records)
+            if r.partition[:1] == (depth,) and det_bareiss(exact[t]) % CERTIFICATE_PRIME == 0
+        }
+        self.assert_drawn_once_plus_redraws(draws, trials, vanishing)
+
+    def test_screen_vanishing_mod_prime_settles_nonsingular(self, monkeypatch):
+        # 1x1 trials of 1000003 or 2 * 1000003: the even ones have a part at
+        # depth 1 and a screen that vanishes mod the prime, so they reach
+        # exact rational rank, which settles them as nonsingular
+        from cokfluct import experiments
+        from cokfluct.experiments import CERTIFICATE_PRIME, SETTLE_CHUNK
+
+        ranks = []
+        monkeypatch.setattr(experiments, "rational_rank", lambda m: ranks.append(m) or rational_rank(m))
+        dist = EntryDistribution.finite_support([(CERTIFICATE_PRIME, 1), (2 * CERTIFICATE_PRIME, 1)])
+        spec = toy_spec(A_dist=dist, master_seed=43)
+        trials = SETTLE_CHUNK + 45
+        even = {t for t in range(trials) if draw_integers(spec, t)[0, 0, 0] % 2 == 0}
+        records, draws = self.collect(monkeypatch, spec, trials, 1)
+
+        assert [r.partition for r in records] == [(1,) if t in even else () for t in range(trials)]
+        assert not any(r.singular for r in records)
+        assert len(ranks) == len(even)
+        self.assert_drawn_once_plus_redraws(draws, trials, even)
 
 
 class TestRunExperiment:
@@ -306,7 +471,7 @@ class TestRunExperiment:
         depth = 256
         singular = []
         for trial in range(60):
-            rec = run_trial(spec, trial, depth)
+            rec = settled(spec, trial, depth)
             ranks = [rational_rank(f) for f in draw_integers(spec, trial)]
             assert rec.singular == (min(ranks) < spec.n)
             if rec.singular:
@@ -329,8 +494,8 @@ class TestRunExperiment:
         deep = []
         for t in range(40):
             dets = factor_determinants(spec, t)
-            full = run_trial(spec, t, 256)
-            rec = run_trial(spec, t, 3)
+            full = settled(spec, t, 256)
+            rec = settled(spec, t, 3)
             assert rec.singular == full.singular == (0 in dets)
             if rec.singular:
                 continue

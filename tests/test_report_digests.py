@@ -6,7 +6,8 @@ order), so any change to a trial's outcome, an aggregate, a target or the
 file layout shows here.  The runs cover the three ensemble kinds at
 p in {2, 3} and d in {1, 3}; the block runs have unequal block sizes and a
 nonzero B, and some trials of every kind are singular, so the singularity
-certificate runs.  A change meant to alter reports must update these pins
+certificate runs.  One run per kind is repeated with three workers and must
+give the same bytes.  A change meant to alter reports must update these pins
 and say why.
 """
 
@@ -55,7 +56,7 @@ PINS = {
 }
 
 
-def run_digest(tmp_path, kind: str, p: int, d: int) -> str:
+def run_digest(tmp_path, kind: str, p: int, d: int, workers: int = 1) -> str:
     lams, lambdas = TARGETS[d]
     config = RunConfig(
         ensemble=spec(kind, p),
@@ -65,7 +66,10 @@ def run_digest(tmp_path, kind: str, p: int, d: int) -> str:
         d=d,
         reproducible=True,
     )
-    report = run_experiment(config.ensemble, config.trials, config.groups, config.lambdas, config.d)
+    # `workers` reaches only the run, so config.json echoes the serial config
+    report = run_experiment(
+        config.ensemble, config.trials, config.groups, config.lambdas, config.d, workers=workers
+    )
     write_report_files(report, tmp_path, config)
     digest = hashlib.sha256()
     for path in sorted(tmp_path.iterdir()):
@@ -76,3 +80,10 @@ def run_digest(tmp_path, kind: str, p: int, d: int) -> str:
 @pytest.mark.parametrize("kind, p, d", sorted(PINS))
 def test_report_bytes_pinned(tmp_path, kind, p, d):
     assert run_digest(tmp_path, kind, p, d) == PINS[kind, p, d]
+
+
+@pytest.mark.parametrize("kind, p, d", [
+    ("block_triangular", 3, 3), ("matrix_product", 2, 1), ("bidiagonal_embedding", 2, 3),
+])
+def test_report_bytes_pinned_under_worker_budget(tmp_path, kind, p, d):
+    assert run_digest(tmp_path, kind, p, d, workers=3) == PINS[kind, p, d]
