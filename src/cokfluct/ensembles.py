@@ -12,6 +12,11 @@ trial.  The samplers reduce that draw mod p**N (`reduce_matrix`, or
 `residues` for a factor stack), so a trial is the same integer matrix at
 every precision.  Exact callers convert the same draw instead, e.g. the
 exact product `functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
+
+`certificate_screen` is a trial's singularity screen: the product of its
+`determinant_blocks` mod CERTIFICATE_PRIME.  A matrix_product trial forms
+its factor product once, mod p**N * CERTIFICATE_PRIME while that tree is
+exact in float64, and both `sample_product` and the screen reduce it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import PadicMatrix, det_bareiss, product_mod, reduce_matrix, residues, widen
+from .exact_linalg import FLOAT_EXACT, PadicMatrix, det_bareiss, product_mod, reduce_matrix, residues, widen
 from .pgroups import _is_prime
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
     "EntryDistribution",
     "EnsembleSpec",
     "GENERATOR_ID",
+    "CERTIFICATE_PRIME",
     "default_precision",
     "trial_rng",
     "draw_integers",
@@ -38,11 +44,13 @@ __all__ = [
     "product_factors",
     "factor_determinants",
     "determinant_blocks",
+    "certificate_screen",
     "build_bidiagonal_embedding",
 ]
 
 GENERATOR_ID = "numpy-PCG64(SeedSequence([master_seed, trial]))"
 UNIFORM_KINDS = ("uniform_mod", "uniform_range")  # laws with low and high set
+CERTIFICATE_PRIME = 1_000_003  # below 2**26, so dets_vanish_mod computes exactly in float64
 
 
 class ConfigError(ValueError):
@@ -421,13 +429,41 @@ def product_factors(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarra
     return residues(widen(draw_integers(spec, trial), q), spec.p, q)
 
 
+def _combined_modulus(spec: EnsembleSpec, precision: int) -> int | None:
+    """Q = p**precision * CERTIFICATE_PRIME when product_mod runs a tree of
+    n x n factors mod Q in float64 (n (Q // 2 + 1)**2 < 2**52), else None.
+    Past that bound the tree would run in int64 or Python ints, slower than
+    two float64 trees, one mod p**precision and one mod the prime."""
+    q = spec.p ** precision * CERTIFICATE_PRIME
+    return q if spec.n * (q // 2 + 1) ** 2 < FLOAT_EXACT else None
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_product(spec: EnsembleSpec, trial: int, q: int) -> np.ndarray:
+    """A_1 A_2 ... A_k mod q (q = _combined_modulus), read-only.  The last
+    product is kept, so sample_product and certificate_screen of one trial
+    share it."""
+    prod = product_mod(draw_integers(spec, trial), q, q)
+    prod.setflags(write=False)
+    return prod
+
+
 def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatrix:
     """A_1 A_2 ... A_k reduced mod p**precision by exact_linalg.product_mod:
-    a pairwise tree of batched products, in float64 while that is exact."""
+    a pairwise tree of batched products, in float64 while that is exact.
+
+    While _combined_modulus admits Q = p**precision * CERTIFICATE_PRIME, the
+    tree runs once mod Q and is kept for the trial's certificate_screen;
+    p**precision divides Q, so the residues are those of the tree mod
+    p**precision."""
     _require_factor_kind(spec, "sample_product")
-    return PadicMatrix(
-        product_mod(draw_integers(spec, trial), spec.p, spec.p ** precision), spec.p, precision
-    )
+    q = spec.p ** precision
+    big = _combined_modulus(spec, precision)
+    if big:
+        prod = residues(_factor_product(spec, trial, big), spec.p, q)
+    else:
+        prod = product_mod(draw_integers(spec, trial), spec.p, q)
+    return PadicMatrix(prod, spec.p, precision)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:
@@ -455,6 +491,20 @@ def determinant_blocks(spec: EnsembleSpec, trial: int) -> np.ndarray:
         blk[:s, :s] = ints[start:start + s, start:start + s]
         start += s
     return stack
+
+
+def certificate_screen(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray:
+    """The product of determinant_blocks mod CERTIFICATE_PRIME, an m x m
+    int64 matrix in [0, prime) whose determinant is det M mod the prime.
+
+    A matrix_product trial reduces the product sample_product keeps mod
+    Q = _combined_modulus(spec, precision), which the prime divides; any
+    other trial, or a product past the float64 bound, multiplies its blocks
+    by product_mod."""
+    big = _combined_modulus(spec, precision) if spec.kind == "matrix_product" else None
+    if big:
+        return _factor_product(spec, trial, big) % CERTIFICATE_PRIME
+    return product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
 
 
 def build_bidiagonal_embedding(factors) -> np.ndarray:

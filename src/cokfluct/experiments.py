@@ -10,15 +10,18 @@ parts equal to D.  Only the exclusion of singular trials (det M = 0) from
 the rank statistics needs more, and an exact certificate settles it.
 
 The certificate runs only for a trial whose type has a part equal to D.
-While its draw is at hand, run_trial multiplies the trial's determinant
-blocks mod a word-size prime into one screen matrix; trial_records then
-settles a chunk of trials with one batched determinant of all their
-screens mod that prime, and only a trial whose screen vanishes is redrawn
-for the exact check.
+While its draw is at hand, run_trial takes the trial's screen, the product
+of its determinant blocks mod a word-size prime (a product trial reads it
+off the factor product it has just formed); trial_records then settles a
+chunk of trials with one batched determinant of all their screens mod
+that prime.  Only a trial whose screen vanishes is redrawn for the exact
+check, which ranks the block likeliest to be singular first.
 
 Aggregation yields empirical rescaled Hom-moments, moments of the centered
 rank vector, and the centered-vector histogram, with bootstrap percentile
-confidence intervals (1000 resamples) and theory targets attached.
+confidence intervals (1000 resamples; np.percentile's default rule, taken
+by hand because np.percentile imports numpy.ma) and theory targets
+attached.
 Everything is a pure function of the spec and its master seed: identical
 reports regardless of worker count or trial order.
 """
@@ -39,15 +42,16 @@ from .exact_linalg import (
     PadicMatrix,
     dets_vanish_mod,
     padic_valuations,
-    product_mod,
     rational_rank,
     streaming_block_eliminate,
 )
 from .ensembles import (
+    CERTIFICATE_PRIME,
     GENERATOR_ID,
     ConfigError,
     EnsembleSpec,
     build_bidiagonal_embedding,
+    certificate_screen,
     config_int,
     config_number,
     config_object,
@@ -88,7 +92,6 @@ __all__ = [
     "total_variation",
 ]
 
-CERTIFICATE_PRIME = 1_000_003  # below 2**26, so dets_vanish_mod computes exactly in float64
 WORKERS_ENV_VAR = "COKFLUCT_WORKERS"
 BOOTSTRAP_TAG = 0xB007
 BOOTSTRAP_RESAMPLES = 1000
@@ -235,7 +238,8 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> UnsettledTrial:
 
     A part equal to depth is a part >= depth or a free summand of Gamma;
     only then is singularity in question, and the trial's screen is
-    computed from the same cached draw for trial_records to settle."""
+    computed from the same cached draw (a product trial's from its cached
+    product) for trial_records to settle."""
     if spec.kind == "block_triangular":
         m = sample_block_matrix(spec, trial, depth)
         partition = streaming_block_eliminate(m, spec.block_sizes)
@@ -246,7 +250,7 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> UnsettledTrial:
         partition = streaming_block_eliminate(m, (spec.n,) * spec.k)
     screen = None
     if partition[:1] == (depth,):
-        screen = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+        screen = certificate_screen(spec, trial, depth)
     return UnsettledTrial(partition, depth, screen)
 
 
@@ -257,10 +261,8 @@ def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list
     determinant of every screen mod CERTIFICATE_PRIME.  det M is the
     product of the determinants of determinant_blocks and GF(prime) is a
     field, so a nonzero screen determinant makes the trial nonsingular.  A
-    trial whose screen vanishes redraws its blocks, takes each block's
-    determinant mod the prime in one batched elimination, and checks exact
-    rational rank, in block order, of each block whose determinant vanishes
-    there, up to the first singular one."""
+    trial whose screen vanishes redraws its blocks, and _has_singular_block
+    settles it by exact rational rank."""
     unsettled = [run_trial(spec, t, depth) for t in trials]
     screened = [i for i, u in enumerate(unsettled) if u.screen is not None]
     vanishing = np.zeros(len(unsettled), dtype=bool)
@@ -269,15 +271,30 @@ def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list
         vanishing[screened] = dets_vanish_mod(stack, CERTIFICATE_PRIME)
     records = []
     for t, u, vanishes in zip(trials, unsettled, vanishing):
-        singular = False
-        if vanishes:
-            blocks = determinant_blocks(spec, t)
-            singular = any(
-                rational_rank(blocks[b]) < blocks.shape[1]
-                for b in np.flatnonzero(dets_vanish_mod(blocks, CERTIFICATE_PRIME))
-            )
+        singular = bool(vanishes) and _has_singular_block(determinant_blocks(spec, t))
         records.append(TrialRecord(u.partition, singular, u.precision_used))
     return records
+
+
+def _has_singular_block(blocks: np.ndarray) -> bool:
+    """Whether a (b, m, m) integer stack has a block of rank < m over Q.
+
+    The block whose float64 determinant is smallest in absolute value, the
+    likeliest to be singular, is ranked first.  Only when it has full rank
+    does one batched elimination take the other blocks' determinants mod
+    CERTIFICATE_PRIME, and exact rational rank is checked, in block order,
+    for each that vanishes there, up to the first singular one; a single
+    block is only ranked.  The float determinant only orders the checks;
+    every answer is rational_rank's."""
+    m = blocks.shape[1]
+    if len(blocks) == 1:
+        return rational_rank(blocks[0]) < m
+    with np.errstate(all="ignore"):  # entries near 2**63 overflow the float determinant
+        first = int(np.argmin(np.abs(np.linalg.det(blocks.astype(np.float64)))))
+    if rational_rank(blocks[first]) < m:
+        return True
+    rest = np.delete(blocks, first, axis=0)
+    return any(rational_rank(rest[b]) < m for b in np.flatnonzero(dets_vanish_mod(rest, CERTIFICATE_PRIME)))
 
 
 def worker_budget(workers: int) -> int:
@@ -367,8 +384,24 @@ def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, 
         idx = rng.integers(0, n, size=(m, n))
         means[done:done + m] = values[idx].mean(axis=1)
         done += m
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return float(lo), float(hi)
+    means.sort()
+    return _percentile(means, 2.5), _percentile(means, 97.5)
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(ordered, q) of a sorted float64 array, bit for bit:
+    numpy's default `linear` rule, with virtual index (n - 1) q / 100
+    between its floor and the next value, and numpy's two-sided lerp, exact
+    at both ends.  np.percentile itself imports numpy.ma on its first call."""
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return float(ordered[-1])
+    below = int(virtual)
+    gamma = virtual - below
+    a, b = ordered[below], ordered[below + 1]
+    diff = b - a
+    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
 def _estimate(values: list[Fraction], target, rng: np.random.Generator) -> MomentEstimate:

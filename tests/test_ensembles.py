@@ -340,6 +340,61 @@ class TestProductSampler:
         assert dets == expected
 
 
+class TestCombinedProduct:
+    """A matrix_product trial's sample_product and certificate_screen equal
+    the two separate trees, mod p**D and mod the prime, on either side of
+    the float64 bound that decides whether they share one product mod
+    p**D * CERTIFICATE_PRIME."""
+
+    @pytest.mark.parametrize("p, n, depth, dist, shared", [
+        (2, 20, 3, EntryDistribution.uniform_mod(2), True),
+        (2, 4, 1, EntryDistribution.uniform_range(-2 ** 62, 2 ** 62), True),
+        (2, 3, 8, EntryDistribution.uniform_range(-100, 100), False),   # tree mod Q would be int64
+        (2, 3, 16, EntryDistribution.uniform_range(-100, 100), False),  # tree mod Q would be objects
+        (3, 2, 4, EntryDistribution.uniform_range(-50, 50), True),      # 2 (Q // 2 + 1)**2 < 2**52
+        (3, 3, 4, EntryDistribution.uniform_range(-50, 50), False),     # 3 (Q // 2 + 1)**2 just past it
+        (5, 5, 2, EntryDistribution.uniform_mod(25), True),
+        (5, 5, 3, EntryDistribution.uniform_mod(25), False),
+    ])
+    def test_matches_separate_trees(self, p, n, depth, dist, shared):
+        from cokfluct.ensembles import (
+            CERTIFICATE_PRIME,
+            _combined_modulus,
+            certificate_screen,
+            determinant_blocks,
+        )
+        from cokfluct.exact_linalg import PadicMatrix, product_mod
+
+        spec = EnsembleSpec(p=p, kind="matrix_product", k=9, n=n, A_dist=dist, master_seed=90 + depth)
+        assert (_combined_modulus(spec, depth) is not None) == shared
+        for trial in range(4):
+            draw = draw_integers(spec, trial)
+            expected = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+            # either call may come first and form the trial's product
+            screen = certificate_screen(spec, trial, depth) if trial % 2 else None
+            assert sample_product(spec, trial, depth) == PadicMatrix(product_mod(draw, p, p ** depth), p, depth)
+            if screen is None:
+                screen = certificate_screen(spec, trial, depth)
+            assert screen.dtype == expected.dtype == np.int64
+            assert np.array_equal(screen, expected)
+            exact = exact_product(spec, trial)
+            assert (sample_product(spec, trial, depth).data == exact % p ** depth).all()
+            assert (screen == exact % CERTIFICATE_PRIME).all()
+
+    def test_screen_of_other_kinds_is_the_block_product(self):
+        from cokfluct.ensembles import CERTIFICATE_PRIME, certificate_screen, determinant_blocks
+        from cokfluct.exact_linalg import product_mod
+
+        for spec in (
+            block_spec(),
+            EnsembleSpec(p=2, kind="bidiagonal_embedding", k=3, n=3,
+                         A_dist=EntryDistribution.uniform_mod(2), master_seed=5),
+        ):
+            for trial in range(3):
+                expected = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+                assert np.array_equal(certificate_screen(spec, trial, 3), expected)
+
+
 class TestBidiagonalEmbedding:
     def test_k1(self):
         m = build_bidiagonal_embedding([np.array([[2]])])

@@ -1,7 +1,12 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,10 +114,10 @@ class TestRunTrial:
             master_seed=8, **shape,
         )
         draws, certificates = [], []
-        rng, blocks = ensembles.trial_rng, experiments.determinant_blocks
+        rng, screen = ensembles.trial_rng, experiments.certificate_screen
         monkeypatch.setattr(ensembles, "trial_rng", lambda *a: draws.append(a) or rng(*a))
         monkeypatch.setattr(
-            experiments, "determinant_blocks", lambda *a: certificates.append(a) or blocks(*a)
+            experiments, "certificate_screen", lambda *a: certificates.append(a) or screen(*a)
         )
         ensembles.draw_integers.cache_clear()
         for t in range(10):
@@ -122,9 +127,11 @@ class TestRunTrial:
         assert not draw_integers(spec, 9).flags.writeable
 
     def test_rank_checks_follow_unscreened_certificate(self, monkeypatch):
-        # the product-determinant screen must not change which blocks get an
-        # exact rank: those whose determinant vanishes mod the certificate
-        # prime, in order, up to the first singular one
+        # a trial gets exact ranks only when some block's determinant
+        # vanishes mod the certificate prime: first the block of smallest
+        # |float64 det|, then, if that one has full rank, the other blocks
+        # whose determinant vanishes mod the prime, in order, up to the
+        # first singular one
         from cokfluct import experiments
         from cokfluct.ensembles import determinant_blocks
         from cokfluct.exact_linalg import det_bareiss
@@ -140,12 +147,18 @@ class TestRunTrial:
                 if 3 not in rec.partition:  # nothing saturated, no certificate
                     assert not calls
                     continue
+                blocks = determinant_blocks(spec, trial)
+                vanish = [det_bareiss(b) % experiments.CERTIFICATE_PRIME == 0 for b in blocks]
                 expected = []
-                for block in determinant_blocks(spec, trial):
-                    if det_bareiss(block) % experiments.CERTIFICATE_PRIME == 0:
-                        expected.append(block)
-                        if rational_rank(block) < spec.n:
-                            break
+                if any(vanish):
+                    first = int(np.argmin(np.abs(np.linalg.det(blocks.astype(np.float64)))))
+                    expected.append(blocks[first])
+                    if rational_rank(blocks[first]) == spec.n:
+                        for b, block in enumerate(blocks):
+                            if b != first and vanish[b]:
+                                expected.append(block)
+                                if rational_rank(block) < spec.n:
+                                    break
                 assert [c.tolist() for c in calls] == [e.tolist() for e in expected]
                 assert rec.singular == any(rational_rank(e) < spec.n for e in expected)
                 ranked += len(calls)
@@ -240,7 +253,9 @@ class TestTrialRecords:
     def test_one_block_vanishing_mod_prime_runs_fallback(self, eliminations, ranks):
         # 1x1 factors from {2, 3, 1000003}: a trial has a screen at depth 1
         # when some factor is even, and it vanishes when some factor is the
-        # prime, which is still nonsingular over Q
+        # prime, which is still nonsingular over Q.  The smallest factor is
+        # ranked first; the other two go through the fallback elimination,
+        # and each that is the prime is ranked too
         from cokfluct.experiments import CERTIFICATE_PRIME
 
         dist = EntryDistribution.finite_support([(2, 1), (3, 1), (CERTIFICATE_PRIME, 1)])
@@ -251,12 +266,13 @@ class TestTrialRecords:
         assert 0 < len(vanishing) < len(screened)
         records = trial_records(spec, range(30), 1)
         assert not any(r.singular for r in records)
-        assert eliminations == [(len(screened), 1, 1)] + [(3, 1, 1)] * len(vanishing)
-        assert len(ranks) == sum(f.count(CERTIFICATE_PRIME) for f in vanishing)
+        assert eliminations == [(len(screened), 1, 1)] + [(2, 1, 1)] * len(vanishing)
+        assert len(ranks) == sum(1 + f.count(CERTIFICATE_PRIME) for f in vanishing)
 
     def test_single_block_falls_back_only_on_vanishing_screen(self, eliminations):
         # one 2x2 block with entries in [-2, 2]: |det| <= 8, so an even det
-        # has a screen at depth 1, and only det 0 vanishes mod the prime
+        # has a screen at depth 1, and only det 0 vanishes mod the prime;
+        # that block's exact rank settles it, with no second elimination
         from cokfluct.exact_linalg import det_bareiss
 
         spec = toy_spec(n=2, A_dist=EntryDistribution.uniform_range(-2, 2), master_seed=38)
@@ -266,7 +282,73 @@ class TestTrialRecords:
         assert 0 < vanishing < screened
         records = trial_records(spec, range(60), 1)
         assert [r.singular for r in records] == [d == 0 for d in dets]
-        assert eliminations == [(screened, 2, 2)] + [(1, 2, 2)] * vanishing
+        assert eliminations == [(screened, 2, 2)]
+
+
+    def test_locator_miss_still_finds_singular_block(self, monkeypatch, ranks):
+        # a 2x2 factor near 2**60 has exact determinant 1 but float64
+        # determinant 0, so the locator ranks it first; the exact rule must
+        # still find the singular factor [[3, 3], [5, 5]], whose float64
+        # determinant is a rounding residue above 0
+        from cokfluct import ensembles
+
+        a = 2 ** 60
+        stack = np.array([[[3, 3], [5, 5]], [[a, a + 1], [a - 1, a]]], dtype=np.int64)
+        stack.setflags(write=False)
+        dets = np.linalg.det(stack.astype(np.float64))
+        assert dets[1] == 0 < abs(dets[0])
+        spec = toy_spec(k=2, n=2, A_dist=EntryDistribution.uniform_range(-3, 3), master_seed=39)
+        monkeypatch.setattr(ensembles, "draw_integers", lambda *_: stack)
+        ensembles._factor_product.cache_clear()
+        (record,) = trial_records(spec, [0], 1)
+        ensembles._factor_product.cache_clear()
+        assert record.partition == (1,) and record.singular
+        assert [r.tolist() for r in ranks] == [stack[1].tolist(), stack[0].tolist()]
+
+
+class TestBootstrapPercentile:
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(2024)
+        yield np.array([0.75])
+        yield np.array([-1.5, 2.25])
+        yield np.array([0.02738500170148095, 8.158535541215322])  # lerp's two sides differ at gamma 0.5
+        yield np.full(1000, 1.0 / 3)
+        for n in (2, 3, 7, 40, 999, 1000, 1001):
+            yield rng.random(n)
+            yield rng.integers(0, 4, n).astype(np.float64)  # ties
+            yield rng.normal(size=n) * 10.0 ** rng.integers(-8, 9)
+
+    def test_matches_numpy_percentile_bitwise(self):
+        from cokfluct.experiments import _percentile
+
+        for values in self.arrays():
+            ordered = np.sort(values)
+            for q in (2.5, 97.5, 0, 50, 100):
+                assert np.float64(_percentile(ordered, q)).tobytes() == np.percentile(values, q).tobytes()
+
+    def test_run_and_report_do_not_import_numpy_ma(self, tmp_path):
+        # np.percentile imports numpy.ma on its first call, inside the
+        # timed region of a fresh run
+        code = textwrap.dedent(f"""
+            import sys
+            from pathlib import Path
+            from cokfluct import AbelianPGroup, EnsembleSpec, EntryDistribution, run_experiment
+            from cokfluct.cli import RunConfig, write_report_files
+
+            spec = EnsembleSpec(p=2, kind="matrix_product", k=3, n=3, master_seed=5,
+                                A_dist=EntryDistribution.uniform_range(-3, 3))
+            config = RunConfig(spec, 30, (AbelianPGroup(2, (1,)),), ((1,),), d=2)
+            report = run_experiment(spec, 30, config.groups, config.lambdas, d=2)
+            assert report.hom_moments and report.l_moments
+            write_report_files(report, Path({str(tmp_path)!r}), config)
+            assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "report.json").exists()
 
 
 class TestTrialRecordsDifferential:
