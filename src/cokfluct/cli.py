@@ -110,7 +110,7 @@ class RunConfig:
 
 
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def write_report_files(report: ExperimentReport, out_dir: Path, config: RunConfig) -> None:
@@ -264,7 +264,7 @@ def compare(report_a, report_b):
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    click.echo(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    click.echo(json.dumps(summary.to_dict(), indent=2, sort_keys=True, allow_nan=False))
 
 
 if __name__ == "__main__":

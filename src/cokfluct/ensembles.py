@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import FLOAT_EXACT, PadicMatrix, det_bareiss, product_mod, reduce_matrix, residues, widen
+from .exact_linalg import PadicMatrix, det_bareiss, float_exact, product_mod, reduce_matrix, residues, widen
 from .pgroups import _is_prime
 
 __all__ = [
@@ -435,7 +435,7 @@ def _combined_modulus(spec: EnsembleSpec, precision: int) -> int | None:
     Past that bound the tree would run in int64 or Python ints, slower than
     two float64 trees, one mod p**precision and one mod the prime."""
     q = spec.p ** precision * CERTIFICATE_PRIME
-    return q if spec.n * (q // 2 + 1) ** 2 < FLOAT_EXACT else None
+    return q if float_exact(spec.n, q) else None
 
 
 @functools.lru_cache(maxsize=1)

@@ -2,28 +2,36 @@
 
 Smith normal form over Z with arbitrary-precision integers, and one
 elimination kernel mod p**N that gives the type of cok(M mod p**N):
-streaming_block_eliminate takes a block lower triangular matrix one block row
-at a time, and padic_valuations is its one-block case.  It keeps one work
-array of rows, and each block row costs one Gauss-Jordan search over GF(p)
-for a maximal set of unit pivots (rows bit-packed into Python ints at p = 2),
-a Newton lift of their inverse, and one update GEMM mod p**N that applies
-them to every other row.
+streaming_block_eliminate takes a block lower triangular matrix, and
+padic_valuations is its one-block case.  The pivots of different diagonal
+blocks lie in different rows and columns, so one step takes them all: one
+Gauss-Jordan search over GF(p) finds a maximal set of unit pivots in every
+diagonal block (a block is one Python int of row lanes at p = 2), one
+batched Newton iteration lifts the inverses of all the pivot blocks to mod
+p**N, and one forward substitution, one GEMM pair per block, leaves the
+Schur complement of the rows and columns without a pivot.  That much
+smaller matrix then goes through the same step as a single block, and
+through one more per divide-by-p level.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
 
-Two batched routines serve stacks of square matrices: product_mod multiplies
-a stack mod q by a pairwise tree of np.matmul calls, and dets_vanish_mod
-tells which determinants vanish mod a word-size prime by one elimination of
-the whole stack.  Both compute in float64 wherever every intermediate is an
-integer below 2**53, so the BLAS arithmetic is exact integer arithmetic
-(word-size prime fields in floating point, as in FFLAS-FFPACK: Dumas, Giorgi
-& Pernet, ACM TOMS 35(3), 2008); residues are then kept symmetric,
-|r| <= q // 2 + 1, which doubles the largest modulus the bound admits.
+The kernel and two batched routines compute in float64 wherever every
+intermediate is an integer below 2**53, so the BLAS arithmetic is exact
+integer arithmetic (word-size prime fields in floating point, as in
+FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008); residues are
+then kept symmetric, |r| <= q // 2 + 1, which doubles the largest modulus
+the bound (float_exact) admits.  product_mod multiplies a stack of square
+matrices mod q by a pairwise tree of np.matmul calls, and dets_vanish_mod
+tells which determinants of a stack vanish mod a word-size prime by one
+elimination of the whole stack.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import operator
 from typing import NamedTuple, Sequence
 
@@ -48,6 +56,13 @@ class BlockStructureError(ValueError):
 
 
 FLOAT_EXACT = 2 ** 52  # |x| below this keeps _symmetric(x, q) within the integers float64 holds (< 2**53)
+
+
+def float_exact(dim: int, q: int) -> bool:
+    """Whether float64 computes mod q exactly on symmetric residues, |r| <=
+    q // 2 + 1: a dot of `dim` products of two of them stays below 2**52,
+    and so does its _symmetric residue."""
+    return dim * (q // 2 + 1) ** 2 < FLOAT_EXACT
 
 
 def residue_dtype(q: int, dim: int):
@@ -347,7 +362,7 @@ def product_mod(stack, p: int, q: int) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
         raise ValueError("need a (b, m, m) stack of one or more square matrices")
     m = stack.shape[1]
-    in_float = m * (q // 2 + 1) ** 2 < FLOAT_EXACT
+    in_float = float_exact(m, q)
     if in_float:
         a = _float_residues(stack, p, q)
     else:
@@ -419,69 +434,95 @@ def padic_valuations(m: PadicMatrix) -> tuple[int, ...]:
 
 def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> tuple[int, ...]:
     """Type of cok(m) for a block lower triangular matrix of residues mod
-    p**N, eliminated one block row at a time.
+    p**N.
 
     Block row i may be nonzero only in block columns j <= i (diagonal,
-    subdiagonal, and strictly-lower fill).  Apart from the GF(p) search, each
-    arriving block row costs a fixed number of array operations, with no
-    per-pivot loop.  The elimination is right-looking and keeps one work
-    array: the carry (the rows without a pivot yet), then every row from the
-    arriving block row down, reduced against every pivot so far and kept on
-    the carry's columns only (pivot columns are zero in them).  A block row
-    widens it by its block column, zero on the carry rows.  One Gauss-Jordan
-    search over GF(p) (_unit_pivots) on the carry and the arriving rows finds
-    a maximal set of unit pivots, whose inverse mod p Newton iteration lifts
-    to mod p**N in about log2(N) GEMM pairs; one GEMM gives the new pivot
-    rows and one more updates every other row.  The searched rows left are
-    the next carry, every entry divisible by p since the pivot set is
-    maximal mod p.  The search is a loop over the searched rows: at p = 2 a
-    row is one Python int and meeting a pivot is one XOR, so it costs
-    O(rows * pivots) XORs; at odd p each row costs a few numpy operations.
-    For random balanced diagonal blocks the carry stays near the block size
-    n_i, so block row i costs O(n * n_i**2) scalar work in GEMMs.
+    subdiagonal, and strictly-lower fill).  The pivots of different diagonal
+    blocks lie in different rows and columns, so one step finds them all
+    (_eliminate_units): a Gauss-Jordan search over GF(p) finds a maximal set
+    of unit pivots in every diagonal block at once, one batched Newton
+    iteration lifts the inverses of all their pivot blocks to mod p**N, and
+    one forward substitution leaves the Schur complement S of the defect
+    rows and columns (those without a pivot), with cok(S) = cok(m) mod p**N.
+    Every diagonal block of S is 0 mod p, so the unit pivots S still has lie
+    off them; S then goes through one more step as a single block.
 
-    After the last block row the carry is divided by p and the modulus
-    lowered to p**(N - v), one elimination step per level v, so the units
-    found at level v are parts equal to v.  Rows left once the carry
-    vanishes, or at level N, are saturated: parts equal to N.  Elementary
-    divisors do not depend on the pivot order, so the type equals that of
-    any two-sided elimination of the assembled matrix.
+    After that every entry is divisible by p: the matrix is divided by p and
+    the modulus lowered to p**(N - v), one single-block step per level v, so
+    the units found at level v are parts equal to v.  Rows left once the
+    matrix vanishes, or at level N, are saturated: parts equal to N.
+    Elementary divisors do not depend on the pivot order, so the type equals
+    that of any two-sided elimination of the assembled matrix.
+
+    The arithmetic is float64 on symmetric residues when n (q // 2 + 1)**2 <
+    2**52 for q = p**N (float_exact), so every GEMM is exact; otherwise it
+    is that of m.data, int64 or Python ints (residue_dtype).
     """
-    sizes = [int(s) for s in block_sizes]
+    sizes = tuple(int(s) for s in block_sizes)
     if any(s <= 0 for s in sizes):
         raise ValueError("block sizes must be positive")
     n = sum(sizes)
     if m.rows != n or m.cols != n:
         raise ValueError("block sizes do not tile the matrix")
-    k = len(sizes)
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-
     p, N = m.p, m.precision
-    data = m.data
+    if len(sizes) > 1:
+        lay = _layout(sizes)
+        above = ((m.data != 0) & lay.above).any(axis=1)
+        if above.any():
+            block = bisect.bisect_right(lay.offsets, int(np.argmax(above)))
+            raise BlockStructureError(f"block row {block} has a nonzero block above the diagonal")
+    in_float = float_exact(n, p ** N)
 
-    active = data[:, :0]  # the carry rows, then rows r0.., on the carry's columns
-
-    for i in range(k):
-        r0, r1 = offsets[i], offsets[i + 1]
-        if (data[r0:r1, r1:] != 0).any():
-            raise BlockStructureError(
-                f"block row {i + 1} has a nonzero block above the diagonal"
-            )
-        # columns r0..r1 are new: zero in the carry, the only earlier rows left
-        carried = active.shape[0] - (n - r0)
-        new = np.zeros((active.shape[0], r1 - r0), dtype=data.dtype)
-        new[carried:] = data[r0:, r0:r1]
-        _, active = _eliminate_units(np.concatenate([active, new], axis=1), carried + r1 - r0, p, N)
-
+    _, work = _eliminate_units(m.data, sizes, p, N, in_float)
+    if len(sizes) > 1 and work.any():  # the unit pivots off the diagonal blocks
+        _, work = _eliminate_units(work, (len(work),), p, N, in_float)
     parts = []  # weakly increasing: the units found at level v are parts v
     for v in range(1, N):
-        if not active.any():  # empty, or every row left is saturated
+        if not work.any():  # empty, or every row left is saturated
             break
-        cols, active = _eliminate_units(active // p, active.shape[0], p, N - v)
-        parts += [v] * cols.size
-    return (N,) * active.shape[0] + tuple(reversed(parts))
+        units, work = _eliminate_units(work // p, (len(work),), p, N - v, in_float)
+        parts += [v] * units
+    return (N,) * len(work) + tuple(reversed(parts))
+
+
+class _Layout(NamedTuple):
+    offsets: list[int]     # the first row of each block, then n
+    first: np.ndarray      # (k, 1): the first row of each block
+    lanes: np.ndarray      # (k, s): row t of block i, for s the largest block; its first row past the block
+    inside: np.ndarray     # (k, s, s): whether (t, u) lies in block i
+    eye: np.ndarray        # (k, s, s) uint8 identities
+    two: np.ndarray        # twice that
+    above: np.ndarray      # (n, n): whether the entry lies right of its row's diagonal block
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(sizes: tuple[int, ...]) -> _Layout:
+    offsets = [0, *itertools.accumulate(sizes)]
+    k, s = len(sizes), max(sizes)
+    first = np.array(offsets[:-1])[:, None]
+    t = np.arange(s)
+    inside = t < np.array(sizes)[:, None]
+    block = np.repeat(np.arange(k), sizes)
+    eye = np.broadcast_to(np.eye(s, dtype=np.uint8), (k, s, s))
+    return _Layout(
+        offsets, first, np.where(inside, first + t, first), inside[:, :, None] & inside[:, None, :],
+        eye, 2 * eye, block[None, :] > block[:, None],
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _symmetric_table(q: int) -> np.ndarray:
+    """The float64 symmetric residue of each of 0 .. q - 1."""
+    return _symmetric(np.arange(q, dtype=np.float64), q)
+
+
+def _lift(a: np.ndarray, q: int) -> np.ndarray:
+    """float64 symmetric residues of an array of residues mod q: int64
+    ones in [0, q) are looked up (q <= 2**16) or converted, float64 ones
+    are already symmetric."""
+    if a.dtype == np.float64:
+        return a
+    return _symmetric_table(q).take(a) if q <= 2 ** 16 else _symmetric(a.astype(np.float64), q)
 
 
 def residues(a, p: int, q: int):
@@ -491,92 +532,145 @@ def residues(a, p: int, q: int):
     return a & (q - 1) if p == 2 else a % q
 
 
-def _eliminate_units(work, m: int, p: int, precision: int):
-    """One elimination step mod q = p**precision on rows of residues.
+def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_float: bool):
+    """One elimination step mod q = p**precision on a block lower triangular
+    matrix of residues (in [0, q), or float64 symmetric ones).
 
-    Finds a maximal set of unit pivots among the first m rows (rows R,
-    columns K, with A = work[R, K] invertible mod p), lifts A**-1 to mod q,
-    and returns (K, S): S = work[~R, ~K] - work[~R, K] A**-1 work[R, ~K],
-    every row but the pivot rows reduced on the columns left, in order.
-    The searched rows of S are 0 mod p."""
+    Finds a maximal set of unit pivots in each diagonal block (rows R_i,
+    columns K_i, with A_i = work[R_i, K_i] invertible mod p), lifts every
+    A_i**-1 to mod q, and returns (|R|, S): S = work[~R, ~K] - work[~R, K]
+    L**-1 work[R, ~K] for L = work[R, K], on the rows and columns without a
+    pivot, in order.  Pivot rows are zero right of their own block column,
+    so L is block lower triangular with diagonal blocks A_i, and X = L**-1
+    work[R, ~K] is a forward substitution, one GEMM pair per block.  It
+    fills W, which has a row per column of work: -X on the pivot columns
+    solved so far, the unit row e_j on the j-th column without a pivot, 0
+    elsewhere.  Then work[R_i] W = work[R_i, ~K] - work[R_i, K] X for the
+    blocks before i, and S = work[~R] W.  Every diagonal block of S is 0
+    mod p.
+
+    The pivot blocks are taken in row order and padded with the identity to
+    s x s, s the largest block: row t of A_i is row t of the block on the
+    pivot columns of its pivot rows when t is a pivot row, e_t otherwise.
+
+    When in_float, every GEMM runs in float64 on symmetric residues
+    (_lift): it has at most n terms, each a product of two residues, so
+    float_exact(n, q) keeps it exact.  When also float_exact(n * n * (q //
+    2 + 1), q), a product with one more residue factor stays exact too, and
+    its inner reduction is left out (delayed reduction)."""
     q = p ** precision
-    rows, cols, inv = _unit_pivots(residues(work[:m], p, p), p)
-    if not cols.size:
-        return cols, work
-    top = work[rows]
-    a = top[:, cols]
-    x = inv.astype(work.dtype)
-    lifted = 1
-    while lifted < precision:  # Newton: x <- 2x - x (a x) doubles the precision
-        x = residues(2 * x - np.dot(x, residues(np.dot(a, x), p, q)), p, q)
-        lifted *= 2
-    keep_rows = np.ones(work.shape[0], dtype=bool)
-    keep_rows[rows] = False
-    keep_cols = np.ones(work.shape[1], dtype=bool)
-    keep_cols[cols] = False
-    w = residues(np.dot(x, top[:, keep_cols]), p, q)
-    rest = work[keep_rows]
-    return cols, residues(rest[:, keep_cols] - np.dot(rest[:, cols], w), p, q)
+    if in_float:
+        def reduce(x):
+            return _symmetric(x, q)
 
-
-def _unit_pivots(bits, p: int):
-    """Gauss-Jordan over GF(p) on a matrix of residues mod p, row by row.
-
-    Returns (R, K, inv): the rows R that gave pivots, their pivot columns K,
-    and inv = A**-1 mod p for A = bits[R, K] (row j of inv belongs to column
-    K[j], column i to row R[i]).  Each row carries its own identity row, so
-    after reduction that part of a pivot row is the combination of carry
-    rows it is, i.e. a row of A**-1.  At p = 2 a row is a Python int, bit j
-    for column j and bit c + i for the identity, reduced with XOR, so any
-    width works; a new row meets only the pivots whose columns it hits.
-    """
-    r, c = bits.shape
-    if p == 2:
-        packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-        width = packed.shape[1]
-        buf = packed.tobytes()
-        mask = (1 << c) - 1
-        pivots: dict[int, int] = {}     # pivot column bit -> reduced row
-        hit_mask = 0                    # OR of the pivot column bits
-        rows = []
-        for i in range(r):
-            v = int.from_bytes(buf[i * width:(i + 1) * width], "little") | 1 << (c + i)
-            hits = v & hit_mask         # reduced pivots leave other pivot bits alone
-            while hits:
-                low = hits & -hits
-                v ^= pivots[low]
-                hits ^= low
-            low = v & mask
-            if low:
-                low &= -low
-                for key, piv in pivots.items():
-                    if piv & low:
-                        pivots[key] = piv ^ v
-                pivots[low] = v
-                hit_mask |= low
-                rows.append(i)
-        nbytes = (r + 7) // 8
-        track = b"".join((v >> c).to_bytes(nbytes, "little") for v in pivots.values())
-        combos = np.unpackbits(
-            np.frombuffer(track, dtype=np.uint8).reshape(len(pivots), nbytes),
-            axis=1, bitorder="little",
-        )
-        cols = [key.bit_length() - 1 for key in pivots]
+        def lift(a):
+            return _lift(a, q)
     else:
-        aug = np.concatenate([bits, np.identity(r, dtype=bits.dtype)], axis=1)
-        piv = aug[:0]
-        cols, rows = [], []
-        for i in range(r):
-            v = aug[i]
-            if cols:
-                v = (v - np.dot(v[cols], piv)) % p
-            nonzero = np.flatnonzero(v[:c])
-            if nonzero.size:
-                col = int(nonzero[0])
-                v = v * pow(int(v[col]), -1, p) % p
-                piv = np.concatenate([(piv - np.outer(piv[:, col], v)) % p, v[None, :]])
-                cols.append(col)
-                rows.append(i)
-        combos = piv[:, c:]
-    rows = np.array(rows, dtype=np.intp)
-    return rows, np.array(cols, dtype=np.intp), combos[:, rows]
+        def reduce(x):
+            return residues(x, p, q)
+
+        def lift(a):
+            return a
+    lay = _layout(sizes)
+    n, k = len(work), len(sizes)
+    bits = work[None] if k == 1 else work[lay.lanes[:, :, None], lay.lanes[:, None, :]]
+    bits = residues(bits.astype(np.int64) if bits.dtype == np.float64 else bits, p, p)
+    if k > 1:
+        bits *= lay.inside
+    cols, inv = _unit_pivots(bits.astype(np.uint8 if p == 2 else np.int64), p, lay.eye)
+    pivot = cols >= 0
+    r = int(np.count_nonzero(pivot))
+    if r == 0:
+        return 0, work
+    if r == n:
+        return n, work[:0, :0]
+    if k == 1 and precision == 1:  # S is 0 mod p, as the pivot set is maximal
+        return r, np.zeros((n - r, n - r), dtype=work.dtype)
+
+    cols += lay.first
+    square = pivot[:, :, None] & pivot[:, None, :]
+    a = np.where(square, lift(work[lay.lanes[:, :, None], cols[:, None, :]]), lay.eye)
+    x = np.where(square, inv, lay.eye).astype(a.dtype)
+    delay = in_float and float_exact(n * n * (q // 2 + 1), q)
+    once = (lambda y: y) if delay else reduce
+    lifted = 1
+    while lifted < precision:  # Newton: x <- x (2 - a x) doubles the precision of x = a**-1
+        x = reduce(np.matmul(x, lay.two - once(np.matmul(a, x))))
+        lifted *= 2
+
+    target = np.where(pivot, cols, n)  # the pivot column of each row; n, a spare row of W, for none
+    free = np.ones(n + 1, dtype=bool)
+    free[target] = False  # and so free[n] = False, as some row has no pivot
+    w = np.zeros((n + 1, n - r), dtype=a.dtype)
+    w[free, np.arange(n - r)] = 1
+    free_rows = np.ones(n, dtype=bool)
+    free_rows[lay.lanes[pivot]] = False
+    x = -x
+    for i, (start, end) in enumerate(itertools.pairwise(lay.offsets)):
+        size = end - start
+        t = once(np.dot(lift(work[start:end, :end]), w[:end]))
+        w[target[i, :size]] = reduce(np.dot(x[i, :size, :size], t))
+    return r, reduce(np.dot(lift(work[free_rows]), w[:n]))
+
+
+def _unit_pivots(bits: np.ndarray, p: int, eye: np.ndarray):
+    """Gauss-Jordan over GF(p), column by column, on each matrix of a
+    (k, s, s) stack of residues mod p (uint8 at p = 2, int64 otherwise);
+    `eye` is a (k, s, s) uint8 stack of identities.
+
+    Returns (cols, inv): cols[i, t] is the pivot column of row t of block i,
+    or -1 when row t has no pivot; inv[i] is the identity part of each row
+    after reduction, the combination of the rows of block i it is.  On the
+    pivot rows and columns, that is A_i**-1 mod p for A_i = bits[i] on the
+    pivot rows and their pivot columns, rows and columns of A_i both in row
+    order.  At p = 2 a block is one Python int of rows in lanes 2s bits
+    wide, bit j of a lane for column j and bit s + t for the identity:
+    clearing column j is one multiply and one XOR, since the lanes with bit
+    j set times the pivot lane is a copy of that lane in each of them.  At
+    odd p the stack is swept as numpy arrays, all blocks at once.
+    """
+    k, s, _ = bits.shape
+    aug = np.concatenate([bits, eye.astype(bits.dtype, copy=False)], axis=2)
+    if p == 2:
+        width = 2 * s
+        nbytes = (s * width + 7) // 8
+        buf = np.packbits(aug.reshape(k, -1), axis=1, bitorder="little").tobytes()
+        lane = (1 << width) - 1
+        ones = ((1 << width * s) - 1) // lane  # bit 0 of every lane
+        cols, reduced = [], []
+        for i in range(k):
+            x = int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
+            free = ones
+            found = [-1] * s
+            for j in range(s):
+                col = x >> j & ones
+                c = col & free
+                if c:
+                    low = c & -c
+                    at = low.bit_length() - 1
+                    x ^= (col ^ low) * (x >> at & lane)
+                    free ^= low
+                    found[at // width] = j
+            cols += found
+            reduced.append(x.to_bytes(nbytes, "little"))
+        cols = np.array(cols, dtype=np.intp).reshape(k, s)
+        aug = np.unpackbits(
+            np.frombuffer(b"".join(reduced), dtype=np.uint8).reshape(k, nbytes),
+            axis=1, count=s * width, bitorder="little",
+        ).reshape(k, s, width)
+    else:
+        cols = np.full((k, s), -1, dtype=np.intp)
+        blocks = np.arange(k)
+        for j in range(s):
+            hit = (aug[:, :, j] != 0) & (cols < 0)
+            has = hit.any(axis=1)
+            if not has.any():
+                continue
+            at = hit.argmax(axis=1)
+            head = aug[blocks, at]
+            scale = [pow(int(v), -1, p) if h else 0 for v, h in zip(head[:, j], has)]
+            head = head * np.array(scale, dtype=np.int64)[:, None] % p
+            aug = (aug - aug[:, :, j, None] * head[:, None, :]) % p
+            aug[blocks[has], at[has]] = head[has]
+            cols[blocks[has], at[has]] = j
+    return cols, aug[:, :, s:]

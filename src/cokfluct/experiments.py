@@ -29,6 +29,7 @@ reports regardless of worker count or trial order.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -166,8 +167,8 @@ class ExperimentReport:
                 "saturated": self.saturated_count,
             },
             "generator": self.generator,
-            "hom_moments": {k: asdict(v) for k, v in sorted(self.hom_moments.items())},
-            "l_moments": {k: asdict(v) for k, v in sorted(self.l_moments.items())},
+            "hom_moments": {k: _moment_dict(v) for k, v in sorted(self.hom_moments.items())},
+            "l_moments": {k: _moment_dict(v) for k, v in sorted(self.l_moments.items())},
             "centered_histogram": {
                 _vector_label(v): {"count": c, "prob": c / max(1, self.included_count)}
                 for v, c in sorted(self.centered_counts.items())
@@ -199,17 +200,32 @@ class ExperimentReport:
         )
 
 
+def _moment_dict(m: MomentEstimate) -> dict:
+    """A moment as report JSON.  The mean and CI of no values (count 0) are
+    NaN, which JSON cannot hold, so they are written as null."""
+    d = asdict(m)
+    if not m.count:
+        d.update(mean=None, ci_low=None, ci_high=None)
+    return d
+
+
 def _moments_from_dict(section, key: str) -> dict[str, MomentEstimate]:
     """A report's moment section, every entry checked: numbers for the mean,
-    CI and target, an integer count, and no other key."""
+    CI and target (null for the mean and CI when the count is 0, read as
+    NaN), an integer count, and no other key."""
     numbers = ("mean", "ci_low", "ci_high", "target")
     moments = {}
     for name, v in config_object(section, key).items():
         where = f"{key}.{name}"
         if set(config_object(v, where)) != {*numbers, "count"}:
             raise ConfigError(f"{where} must have exactly the keys {', '.join(numbers)}, count")
+        count = config_int(v["count"], f"{where}.count")
         moments[name] = MomentEstimate(
-            *(config_number(v[f], f"{where}.{f}") for f in numbers), config_int(v["count"], f"{where}.count")
+            *(
+                math.nan if v[f] is None and count == 0 and f != "target" else config_number(v[f], f"{where}.{f}")
+                for f in numbers
+            ),
+            count,
         )
     return moments
 
@@ -486,7 +502,7 @@ class ComparisonSummary:
     def to_dict(self) -> dict:
         return {
             "tv_distance": self.tv_distance,
-            "moment_gaps": dict(sorted(self.moment_gaps.items())),
+            "moment_gaps": {k: None if math.isnan(g) else g for k, g in sorted(self.moment_gaps.items())},
             "support_size": self.support_size,
         }
 

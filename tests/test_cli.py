@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
 from cokfluct.cli import RunConfig, main
 from cokfluct.ensembles import ConfigError
+from cokfluct.experiments import ExperimentReport
 
 
 def make_config(tmp_path, **overrides):
@@ -254,6 +256,71 @@ class TestSimulate:
         )
         assert res.exit_code == 2
         assert "config error:" in res.output
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestEmptyMoments:
+    """A moment with no values has NaN mean and CI in memory; report.json,
+    its CSV and compare's output hold null for them, and a report reads
+    them back."""
+
+    @pytest.mark.parametrize(
+        "overrides, empty",
+        [
+            ({"trials": 0}, ("hom_moments", "l_moments")),
+            # a product of 64 factors uniform mod 2 of size 1 is 0 unless
+            # every factor is 1: every trial is singular, so no L-moment value
+            (
+                {
+                    "ensemble": {
+                        "p": 2, "kind": "matrix_product", "k": 64, "n": 1,
+                        "A_dist": {"kind": "uniform_mod", "m": 2}, "master_seed": 1,
+                    },
+                    "trials": 5,
+                },
+                ("l_moments",),
+            ),
+        ],
+    )
+    def test_null_not_nan(self, tmp_path, overrides, empty):
+        runner = CliRunner()
+        res = runner.invoke(main, ["simulate", "--config", str(make_config(tmp_path, **overrides))])
+        assert res.exit_code == 0, res.output
+        path = tmp_path / "run" / "report.json"
+        report = strict_json(path.read_text())
+        assert report["counts"]["included"] == 0
+        for section in empty:
+            for entry in report[section].values():
+                assert entry["count"] == 0
+                assert entry["mean"] is entry["ci_low"] is entry["ci_high"] is None
+                assert entry["target"] == 1.0
+            rows = (tmp_path / "run" / f"{section}.csv").read_text().splitlines()
+            assert rows[1].split(",")[1:] == ["", "", "", "1.0", "0"]
+
+        parsed = ExperimentReport.from_dict(report)
+        assert math.isnan(parsed.l_moments["(1)"].mean)
+        assert parsed.to_dict() == report
+
+        res = runner.invoke(main, ["compare", str(path), str(path)])
+        assert res.exit_code == 0, res.output
+        assert strict_json(res.output)["moment_gaps"] == {"(1)": None}
+
+    def test_null_only_with_count_zero(self, tmp_path):
+        runner = CliRunner()
+        runner.invoke(main, ["simulate", "--config", str(make_config(tmp_path, trials=3))])
+        path = tmp_path / "run" / "report.json"
+        report = strict_json(path.read_text())
+        report["l_moments"]["(1)"]["mean"] = None
+        path.write_text(json.dumps(report))
+        res = runner.invoke(main, ["compare", str(path), str(path)])
+        assert res.exit_code == 2
+        assert "l_moments.(1).mean must be a number" in res.output
 
 
 class TestVerify:

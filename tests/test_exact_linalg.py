@@ -17,6 +17,7 @@ from cokfluct import (
     streaming_block_eliminate,
 )
 from cokfluct import exact_linalg
+from cokfluct.ensembles import build_bidiagonal_embedding
 from cokfluct.exact_linalg import det_bareiss, dets_vanish_mod, product_mod, rational_rank, residues
 from helpers import (
     det_cofactor,
@@ -595,6 +596,91 @@ class TestStreamingBlockEliminate:
                 m = reduce_matrix(rows, p, N)
                 assert m.data.dtype == backend
                 assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+
+    @pytest.mark.parametrize(
+        "p,N,n,arithmetic",
+        [
+            # n (q // 2 + 1)**2 just below 2**52, then just above it
+            (2, 25, 15, "float64"),
+            (2, 25, 16, "int64"),
+            (3, 16, 9, "float64"),
+            (3, 16, 10, "int64"),
+        ],
+    )
+    def test_modulus_at_float_bound(self, p, N, n, arithmetic, monkeypatch):
+        q = p ** N
+        assert (n * (q // 2 + 1) ** 2 < 2 ** 52) == (arithmetic == "float64")
+        floats = []
+        real = exact_linalg._symmetric
+        monkeypatch.setattr(exact_linalg, "_symmetric", lambda x, q: floats.append(1) or real(x, q))
+        rng = random.Random(q + n)
+        sizes = [n // 3, n // 3, n - 2 * (n // 3)]
+        offs = [0, *itertools.accumulate(sizes)]
+        for _ in range(4):
+            # entries near 0 and near +-q / 2, the largest symmetric
+            # residues; the middle diagonal block is times p, so its
+            # pivots lie off it and the divide-by-p levels run
+            rows = [[0] * n for _ in range(n)]
+            for bi in range(3):
+                for r in range(offs[bi], offs[bi + 1]):
+                    for c in range(offs[bi + 1]):
+                        x = rng.choice([1, -1]) * rng.choice([rng.randint(0, 3), q // 2 - rng.randint(0, 3)])
+                        rows[r][c] = p * x if bi == 1 and c >= offs[1] else x
+            m = reduce_matrix(rows, p, N)
+            assert m.data.dtype == np.int64
+            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+        assert bool(floats) == (arithmetic == "float64")
+
+    @pytest.mark.parametrize("q", [8, 3 ** 7, 2 ** 20, 3 ** 16])
+    def test_lift_gives_symmetric_residues(self, q):
+        # the float64 bound counts on every GEMM operand being a symmetric
+        # residue, |r| <= q // 2 + 1, whether looked up or converted
+        a = np.array([[0, 1, 2, q // 2 - 1], [q // 2, q // 2 + 1, q - 2, q - 1]], dtype=np.int64)
+        lifted = exact_linalg._lift(a, q)
+        assert lifted.dtype == np.float64
+        assert np.abs(lifted).max() <= q // 2 + 1
+        assert (lifted.astype(np.int64) % q == a).all()
+        assert exact_linalg._lift(lifted, q) is lifted
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_embedding_of_factors_divisible_by_p(self, p):
+        # the bidiagonal embedding of p U_1, ..., p U_k, U_i unimodular: its
+        # diagonal blocks are 0 mod p, so every unit pivot lies in the
+        # identity subdiagonal blocks; the product is p**k times a
+        # unimodular matrix, so the type is (min(k, N),) * n
+        rng = random.Random(300 + p)
+        for k, n in ((2, 2), (3, 3), (4, 2), (5, 3)):
+            factors = [
+                [[p * x for x in row] for row in random_elementary_ops(rng, np.eye(n, dtype=int).tolist(), 12, "row")]
+                for _ in range(k)
+            ]
+            rows = build_bidiagonal_embedding(np.array(factors, dtype=object)).tolist()
+            for N, dtype in ((3, np.int64), (45, object)):
+                m = reduce_matrix(rows, p, N)
+                assert m.data.dtype == dtype
+                got = streaming_block_eliminate(m, (n,) * k)
+                assert got == (min(k, N),) * n
+                assert_matches_exact(got, rows, p, N)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_diagonal_block_zero_mod_p(self, p):
+        # unequal blocks, each diagonal block 0 mod p: no block has a unit
+        # pivot, so the whole matrix is the defect
+        rng = random.Random(400 + p)
+        for sizes in ((1, 3, 2, 4), (4, 1, 1), (2, 5)):
+            offs = [0, *itertools.accumulate(sizes)]
+            n = offs[-1]
+            for _ in range(5):
+                rows = [[0] * n for _ in range(n)]
+                for bi in range(len(sizes)):
+                    for r in range(offs[bi], offs[bi + 1]):
+                        for c in range(offs[bi + 1]):
+                            x = rng.randint(-9, 9)
+                            rows[r][c] = p * x if c >= offs[bi] else x
+                for N, dtype in ((4, np.int64), (45, object)):
+                    m = reduce_matrix(rows, p, N)
+                    assert m.data.dtype == dtype
+                    assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
 
     def test_block_sizes_must_tile(self):
         m = reduce_matrix([[2, 0], [1, 3]], 2, 16)
