@@ -4,10 +4,8 @@ block lower triangular integer matrices."""
 from .exact_linalg import (
     BlockStructureError,
     CokernelPartition,
-    PadicMatrix,
     cokernel_partition,
     padic_valuations,
-    reduce_matrix,
     snf_diagonal,
     streaming_block_eliminate,
 )

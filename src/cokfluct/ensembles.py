@@ -8,9 +8,10 @@ of a product, and a counter-style deterministic seeding contract:
 
 `draw_integers` is the one draw of a trial: the assembled int64 matrix of a
 block trial, or the (k, n, n) int64 factor stack of a product or embedding
-trial.  The samplers reduce that draw mod p**N (`reduce_matrix`, or
-`residues` for a factor stack), so a trial is the same integer matrix at
-every precision.  Exact callers convert the same draw instead, e.g. the
+trial.  `sample_block_matrix` hands that draw to the elimination kernel,
+which reduces mod p**N what it reads; `product_factors` and `sample_product`
+give residues mod p**N (`residues`), so a trial is the same integer matrix
+at every precision.  Exact callers convert the same draw instead, e.g. the
 exact product `functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
 
 `certificate_screen` is a trial's singularity screen: the product of its
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import PadicMatrix, det_bareiss, float_exact, product_mod, reduce_matrix, residues, widen
+from .exact_linalg import det_bareiss, float_exact, product_mod, residues, widen
 from .pgroups import _is_prime
 
 __all__ = [
@@ -410,11 +411,12 @@ def draw_integers(spec: EnsembleSpec, trial: int) -> np.ndarray:
     return full
 
 
-def sample_block_matrix(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatrix:
-    """One trial of the A+B block ensemble, assembled and reduced mod p**precision."""
+def sample_block_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """One trial of the A+B block ensemble: the assembled n x n int64 draw,
+    read-only and unreduced (the kernel reduces what it reads)."""
     if spec.kind != "block_triangular":
         raise ConfigError("sample_block_matrix needs a block_triangular spec")
-    return reduce_matrix(draw_integers(spec, trial), spec.p, precision)
+    return draw_integers(spec, trial)
 
 
 def _require_factor_kind(spec: EnsembleSpec, op: str):
@@ -448,9 +450,10 @@ def _factor_product(spec: EnsembleSpec, trial: int, q: int) -> np.ndarray:
     return prod
 
 
-def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatrix:
-    """A_1 A_2 ... A_k reduced mod p**precision by exact_linalg.product_mod:
-    a pairwise tree of batched products, in float64 while that is exact.
+def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray:
+    """A_1 A_2 ... A_k mod p**precision by exact_linalg.product_mod: a
+    pairwise tree of batched products, in float64 while that is exact.
+    Residues in [0, p**precision), int64 or Python ints.
 
     While _combined_modulus admits Q = p**precision * CERTIFICATE_PRIME, the
     tree runs once mod Q and is kept for the trial's certificate_screen;
@@ -460,10 +463,8 @@ def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> PadicMatri
     q = spec.p ** precision
     big = _combined_modulus(spec, precision)
     if big:
-        prod = residues(_factor_product(spec, trial, big), spec.p, q)
-    else:
-        prod = product_mod(draw_integers(spec, trial), spec.p, q)
-    return PadicMatrix(prod, spec.p, precision)
+        return residues(_factor_product(spec, trial, big), spec.p, q)
+    return product_mod(draw_integers(spec, trial), spec.p, q)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:

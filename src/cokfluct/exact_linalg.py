@@ -15,6 +15,11 @@ through one more per divide-by-p level.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
+The kernel takes one with (p, N) and reduces mod p**N only what it reads:
+the GF(p) search reduces its gathers mod p, and every block of rows a GEMM
+reads is reduced and lifted to float64 as it is gathered (_lift), so no
+trial builds a reduced copy first.  An object matrix, or any matrix past
+the float64 bound, is reduced once up front instead.
 
 The kernel and two batched routines compute in float64 wherever every
 intermediate is an integer below 2**53, so the BLAS arithmetic is exact
@@ -38,14 +43,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "PadicMatrix",
     "CokernelPartition",
     "BlockStructureError",
     "snf_diagonal",
     "cokernel_partition",
     "padic_valuations",
     "streaming_block_eliminate",
-    "reduce_matrix",
     "residues",
     "product_mod",
 ]
@@ -70,58 +73,6 @@ def residue_dtype(q: int, dim: int):
     every intermediate (a dot of at most `dim` products of two residues)
     fits exactly, Python ints otherwise."""
     return np.int64 if dim * (q - 1) * (q - 1) < 2 ** 62 else object
-
-
-class PadicMatrix:
-    """Matrix of residues mod p**precision.
-
-    Entries live in [0, p**precision).  Backed by an int64 ndarray when the
-    elimination's intermediates fit, by an object ndarray of Python ints
-    otherwise.  The entries are validated once; with `reduce` they are
-    reduced mod p**precision instead of range-checked (reduce_matrix).
-    """
-
-    __slots__ = ("rows", "cols", "p", "precision", "data")
-
-    def __init__(self, data, p: int, precision: int, *, reduce: bool = False):
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        arr = _integer_matrix(data)
-        q = p ** precision
-        arr = widen(arr, q)
-        if reduce:
-            arr = residues(arr, p, q)
-        elif not ((arr >= 0) & (arr < q)).all():
-            raise ValueError("entries must lie in [0, p**precision)")
-        arr = arr.astype(residue_dtype(q, max(arr.shape)), copy=True)
-        arr.setflags(write=False)
-        self.rows, self.cols = arr.shape
-        self.p = p
-        self.precision = precision
-        self.data = arr
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicMatrix)
-            and self.p == other.p
-            and self.precision == other.precision
-            and self.data.shape == other.data.shape
-            and bool((self.data == other.data).all())
-        )
-
-    def __repr__(self):
-        return f"PadicMatrix({self.rows}x{self.cols}, p={self.p}, N={self.precision})"
-
-
-def reduce_matrix(a, p: int, precision: int) -> PadicMatrix:
-    """Reduce a 2-D integer array (int64 or object) or nested list entrywise
-    mod p**precision; int64 entries are widened to Python ints first when
-    the modulus does not fit."""
-    return PadicMatrix(a, p, precision, reduce=True)
 
 
 def widen(a: np.ndarray, q: int) -> np.ndarray:
@@ -418,32 +369,34 @@ def cokernel_partition(m, p: int) -> CokernelPartition:
 # Unit-pivot elimination mod p**N
 # ---------------------------------------------------------------------------
 
-def padic_valuations(m: PadicMatrix) -> tuple[int, ...]:
-    """Type of cok(m) for a square matrix of residues mod p**N, a weakly
-    decreasing tuple with parts at most N.
+def padic_valuations(a, p: int, N: int) -> tuple[int, ...]:
+    """Type of cok(a mod p**N) for a square integer matrix (int64 or object
+    array, or nested list), a weakly decreasing tuple with parts at most N.
 
     A square matrix is block lower triangular with one block, so this is
     streaming_block_eliminate with a single block.  Parts below N are exact
     for any integer lift; a part equal to N is an elementary divisor of
     valuation >= N, or a free summand, of the lift.
     """
-    if m.rows != m.cols:
+    arr = _integer_matrix(a)
+    if arr.shape[0] != arr.shape[1]:
         raise ValueError("padic_valuations expects a square matrix")
-    return streaming_block_eliminate(m, (m.rows,))
+    return _block_type(arr, (len(arr),), p, N)
 
 
-def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> tuple[int, ...]:
-    """Type of cok(m) for a block lower triangular matrix of residues mod
-    p**N.
+def streaming_block_eliminate(a, block_sizes: Sequence[int], p: int, N: int) -> tuple[int, ...]:
+    """Type of cok(a mod p**N) for a block lower triangular integer matrix
+    (int64 or object array, or nested list); entries need not be reduced.
 
     Block row i may be nonzero only in block columns j <= i (diagonal,
-    subdiagonal, and strictly-lower fill).  The pivots of different diagonal
-    blocks lie in different rows and columns, so one step finds them all
+    subdiagonal, and strictly-lower fill); an entry above that is allowed
+    only when it is 0 mod p**N.  The pivots of different diagonal blocks
+    lie in different rows and columns, so one step finds them all
     (_eliminate_units): a Gauss-Jordan search over GF(p) finds a maximal set
     of unit pivots in every diagonal block at once, one batched Newton
     iteration lifts the inverses of all their pivot blocks to mod p**N, and
     one forward substitution leaves the Schur complement S of the defect
-    rows and columns (those without a pivot), with cok(S) = cok(m) mod p**N.
+    rows and columns (those without a pivot), with cok(S) = cok(a) mod p**N.
     Every diagonal block of S is 0 mod p, so the unit pivots S still has lie
     off them; S then goes through one more step as a single block.
 
@@ -455,25 +408,38 @@ def streaming_block_eliminate(m: PadicMatrix, block_sizes: Sequence[int]) -> tup
     that of any two-sided elimination of the assembled matrix.
 
     The arithmetic is float64 on symmetric residues when n (q // 2 + 1)**2 <
-    2**52 for q = p**N (float_exact), so every GEMM is exact; otherwise it
-    is that of m.data, int64 or Python ints (residue_dtype).
+    2**52 for q = p**N (float_exact), so every GEMM is exact.  An int64
+    matrix is then read as it is: each step reduces only the entries it
+    reads (_lift), and the input is never written.  Any other matrix is
+    reduced once up front; past the bound every matrix is, to residues in
+    int64 or Python ints (residue_dtype), and the arithmetic is theirs.
     """
-    sizes = tuple(int(s) for s in block_sizes)
+    return _block_type(_integer_matrix(a), tuple(int(s) for s in block_sizes), p, N)
+
+
+def _block_type(a: np.ndarray, sizes: tuple[int, ...], p: int, N: int) -> tuple[int, ...]:
+    """streaming_block_eliminate of a checked 2-D integer array."""
+    if N < 1:
+        raise ValueError("precision must be >= 1")
     if any(s <= 0 for s in sizes):
         raise ValueError("block sizes must be positive")
     n = sum(sizes)
-    if m.rows != n or m.cols != n:
+    if a.shape != (n, n):
         raise ValueError("block sizes do not tile the matrix")
-    p, N = m.p, m.precision
+    q = p ** N
+    in_float = float_exact(n, q)
+    if a.dtype != np.int64 or not in_float:
+        a = residues(widen(a, q), p, q).astype(residue_dtype(q, n))
     if len(sizes) > 1:
         lay = _layout(sizes)
-        above = ((m.data != 0) & lay.above).any(axis=1)
+        above = lay.above & (a != 0)
         if above.any():
-            block = bisect.bisect_right(lay.offsets, int(np.argmax(above)))
-            raise BlockStructureError(f"block row {block} has a nonzero block above the diagonal")
-    in_float = float_exact(n, p ** N)
+            above &= residues(a, p, q) != 0  # a multiple of p**N is 0
+            if above.any():
+                block = bisect.bisect_right(lay.offsets, int(np.argmax(above.any(axis=1))))
+                raise BlockStructureError(f"block row {block} has a nonzero block above the diagonal")
 
-    _, work = _eliminate_units(m.data, sizes, p, N, in_float)
+    _, work = _eliminate_units(a, sizes, p, N, in_float)
     if len(sizes) > 1 and work.any():  # the unit pivots off the diagonal blocks
         _, work = _eliminate_units(work, (len(work),), p, N, in_float)
     parts = []  # weakly increasing: the units found at level v are parts v
@@ -516,12 +482,13 @@ def _symmetric_table(q: int) -> np.ndarray:
     return _symmetric(np.arange(q, dtype=np.float64), q)
 
 
-def _lift(a: np.ndarray, q: int) -> np.ndarray:
-    """float64 symmetric residues of an array of residues mod q: int64
-    ones in [0, q) are looked up (q <= 2**16) or converted, float64 ones
-    are already symmetric."""
+def _lift(a: np.ndarray, p: int, q: int) -> np.ndarray:
+    """float64 symmetric residues mod q of an int64 array of any integers:
+    reduced to [0, q) (`residues`), then looked up (q <= 2**16) or
+    converted; a float64 array is already symmetric residues."""
     if a.dtype == np.float64:
         return a
+    a = residues(a, p, q)
     return _symmetric_table(q).take(a) if q <= 2 ** 16 else _symmetric(a.astype(np.float64), q)
 
 
@@ -534,7 +501,9 @@ def residues(a, p: int, q: int):
 
 def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_float: bool):
     """One elimination step mod q = p**precision on a block lower triangular
-    matrix of residues (in [0, q), or float64 symmetric ones).
+    integer matrix: when in_float, int64 entries of any size or float64
+    symmetric residues, each block reduced as it is read (_lift);
+    otherwise residues in [0, q) (residue_dtype).
 
     Finds a maximal set of unit pivots in each diagonal block (rows R_i,
     columns K_i, with A_i = work[R_i, K_i] invertible mod p), lifts every
@@ -564,7 +533,7 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_fl
             return _symmetric(x, q)
 
         def lift(a):
-            return _lift(a, q)
+            return _lift(a, p, q)
     else:
         def reduce(x):
             return residues(x, p, q)

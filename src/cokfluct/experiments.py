@@ -4,10 +4,11 @@ Every statistic a report holds depends only on Gamma/p**D Gamma for
 Gamma = cok(M) and D = max(d, largest part of any requested group):
 Hom(Gamma, G) = Hom(Gamma/p**D Gamma, G) when p**D G = 0, and the ranks of
 p**(i-1) Gamma / p**i Gamma for i <= d only see Gamma/p**d Gamma.  So each
-trial draws once, reduces mod p**D and runs one elimination, which gives
-the type of Gamma/p**D Gamma = cok(M mod p**D), free summands showing as
-parts equal to D.  Only the exclusion of singular trials (det M = 0) from
-the rank statistics needs more, and an exact certificate settles it.
+trial draws once and runs one elimination mod p**D, which reduces what it
+reads and gives the type of Gamma/p**D Gamma = cok(M mod p**D), free
+summands showing as parts equal to D.  Only the exclusion of singular
+trials (det M = 0) from the rank statistics needs more, and an exact
+certificate settles it.
 
 The certificate runs only for a trial whose type has a part equal to D.
 While its draw is at hand, run_trial takes the trial's screen, the product
@@ -40,7 +41,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .exact_linalg import (
-    PadicMatrix,
     dets_vanish_mod,
     padic_valuations,
     rational_rank,
@@ -250,20 +250,20 @@ def working_depth(d: int, G_list: Sequence[AbelianPGroup]) -> int:
 
 
 def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> UnsettledTrial:
-    """Draw the trial once mod p**depth and eliminate it once.
+    """Draw the trial once and eliminate it once mod p**depth.
 
     A part equal to depth is a part >= depth or a free summand of Gamma;
     only then is singularity in question, and the trial's screen is
     computed from the same cached draw (a product trial's from its cached
     product) for trial_records to settle."""
     if spec.kind == "block_triangular":
-        m = sample_block_matrix(spec, trial, depth)
-        partition = streaming_block_eliminate(m, spec.block_sizes)
+        m = sample_block_matrix(spec, trial)
+        partition = streaming_block_eliminate(m, spec.block_sizes, spec.p, depth)
     elif spec.kind == "matrix_product":
-        partition = padic_valuations(sample_product(spec, trial, depth))
+        partition = padic_valuations(sample_product(spec, trial, depth), spec.p, depth)
     else:
-        m = PadicMatrix(build_bidiagonal_embedding(product_factors(spec, trial, depth)), spec.p, depth)
-        partition = streaming_block_eliminate(m, (spec.n,) * spec.k)
+        m = build_bidiagonal_embedding(product_factors(spec, trial, depth))
+        partition = streaming_block_eliminate(m, (spec.n,) * spec.k, spec.p, depth)
     screen = None
     if partition[:1] == (depth,):
         screen = certificate_screen(spec, trial, depth)

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import operator
@@ -9,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from cokfluct import (
     BlockStructureError,
-    PadicMatrix,
     cokernel_partition,
     padic_valuations,
-    reduce_matrix,
     snf_diagonal,
     streaming_block_eliminate,
 )
@@ -72,6 +71,13 @@ def unimodular_times_diagonal(rng, sizes, diagonal):
         factors.append(f)
     u, v = factors
     return np.dot(np.dot(u, np.diag(np.array(diagonal, dtype=object))), v).tolist()
+
+
+def kernel_arithmetic(n, p, N):
+    """The arithmetic the kernel runs on an n x n matrix mod p**N: float64
+    on symmetric residues, else residues in int64 or Python ints."""
+    q = p ** N
+    return np.float64 if exact_linalg.float_exact(n, q) else exact_linalg.residue_dtype(q, n)
 
 
 def assert_matches_exact(typ, rows, p, N, smith=None):
@@ -168,11 +174,43 @@ class TestInputForms:
     @settings(max_examples=100, deadline=None)
     @given(rows=square_matrices(), p=st.sampled_from([2, 3, 5]), depth=st.integers(1, 5))
     def test_residue_backends_match_exact_type(self, rows, p, depth):
-        for N, dtype in ((depth, np.int64), (depth + 40, object)):
+        for N, arithmetic in ((depth, np.float64), (depth + 40, object)):
+            assert kernel_arithmetic(len(rows), p, N) is arithmetic
             for form in (np.array(rows, dtype=np.int64), np.array(rows, dtype=object)):
-                m = reduce_matrix(form, p, N)
-                assert m.data.dtype == dtype
-                assert_matches_exact(padic_valuations(m), rows, p, N)
+                assert_matches_exact(padic_valuations(form, p, N), rows, p, N)
+
+    def test_kernel_rejects_non_integer_input(self):
+        # floats, complex numbers and non-integer objects at every p, even
+        # inside [0, p**N); and an empty matrix
+        for bad in (np.array([[0.5]]), np.array([[2.5]]), np.array([[1j]]), np.array([[1.5]], dtype=object)):
+            for p in (2, 3):
+                with pytest.raises(ValueError, match="integer"):
+                    padic_valuations(bad, p, 2)
+                with pytest.raises(ValueError, match="integer"):
+                    streaming_block_eliminate(bad, [1], p, 2)
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            padic_valuations(np.zeros((0, 0), dtype=np.int64), 2, 2)
+
+    def test_kernel_validates_each_entry_once(self, monkeypatch):
+        index = operator.index
+        calls = []
+        monkeypatch.setattr(operator, "index", lambda x: calls.append(x) or index(x))
+        got = padic_valuations(np.array([[6, -2], [7, 2 ** 70]], dtype=object), 2, 3)
+        assert len(calls) == 4
+        assert got == truncated_type(*cokernel_partition([[6, 6], [7, 0]], 2), 3) == (1,)
+
+    @pytest.mark.parametrize("p,N", [(2, 1), (2, 3), (2, 62), (2, 90), (3, 4), (5, 30)])
+    def test_residues_match_modulo(self, p, N):
+        # the p = 2 bit mask must agree with % on negative int64 and on
+        # Python ints beyond int64
+        q = p ** N
+        values = [-2 ** 62, -q - 1, -q, -7, -1, 0, 1, 7, q - 1, q, 2 ** 62, -(10 ** 30), 10 ** 30 + 3]
+        big = np.array(values, dtype=object)
+        assert residues(big, p, q).tolist() == [v % q for v in values]
+        if q <= 2 ** 62:
+            small = np.array(values[:-2], dtype=np.int64)
+            assert residues(small, p, q).dtype == np.int64
+            assert residues(small, p, q).tolist() == [v % q for v in values[:-2]]
 
 
 class TestBareissHelpers:
@@ -367,12 +405,10 @@ class TestCokernelPartition:
 
 class TestPadicValuations:
     def test_diag_full_precision(self):
-        m = reduce_matrix([[2, 0], [0, 8]], 2, 16)
-        assert padic_valuations(m) == (3, 1)
+        assert padic_valuations([[2, 0], [0, 8]], 2, 16) == (3, 1)
 
     def test_diag_saturates_at_low_precision(self):
-        m = reduce_matrix([[2, 0], [0, 8]], 2, 2)
-        assert padic_valuations(m) == (2, 1)
+        assert padic_valuations([[2, 0], [0, 8]], 2, 2) == (2, 1)
 
     def test_random_5x5_mod_2_32_matches_exact(self):
         # beyond the int64-safe window: exercises the Python-int residue path
@@ -385,7 +421,7 @@ class TestPadicValuations:
             done += 1
             part, free = cokernel_partition(m, 2)
             assert free == 0
-            assert padic_valuations(reduce_matrix(m, 2, 32)) == part
+            assert padic_valuations(m, 2, 32) == part
 
     def test_lift_consistency_various_primes(self):
         rng = random.Random(5)
@@ -393,88 +429,45 @@ class TestPadicValuations:
             for _ in range(10):
                 n = rng.randint(1, 4)
                 m = random_int_matrix(rng, n)
-                typ = padic_valuations(reduce_matrix(m, p, 16))
+                typ = padic_valuations(m, p, 16)
                 if 16 not in typ:
                     part, free = cokernel_partition(m, p)
                     assert free == 0
                     assert typ == part
 
     def test_arithmetic_backends_agree(self):
-        # int64 (N=16, p=2) and object (N=40 and N=128 at p=2, N=50 at
+        # float64 (N=16, p=2) and object (N=40 and N=128 at p=2, N=50 at
         # p=3) must produce identical data
+        assert kernel_arithmetic(4, 2, 16) is np.float64
+        assert kernel_arithmetic(4, 2, 40) is kernel_arithmetic(4, 2, 128) is object
+        assert kernel_arithmetic(3, 3, 12) is np.float64
+        assert kernel_arithmetic(3, 3, 50) is object
         rng = random.Random(6)
         for _ in range(10):
             m = random_int_matrix(rng, 4)
-            small = padic_valuations(reduce_matrix(m, 2, 16))    # int64
-            wrap = padic_valuations(reduce_matrix(m, 2, 40))     # object
-            wide = padic_valuations(reduce_matrix(m, 2, 128))    # object
-            assert reduce_matrix(m, 2, 16).data.dtype == np.int64
-            assert reduce_matrix(m, 2, 40).data.dtype == object
-            assert reduce_matrix(m, 2, 128).data.dtype == object
+            small = padic_valuations(m, 2, 16)
+            wrap = padic_valuations(m, 2, 40)
+            wide = padic_valuations(m, 2, 128)
             if 16 not in small:
                 assert small == wrap == wide
         for _ in range(6):
             m = random_int_matrix(rng, 3)
-            a = padic_valuations(reduce_matrix(m, 3, 12))        # int64
-            b = padic_valuations(reduce_matrix(m, 3, 50))        # object
+            a = padic_valuations(m, 3, 12)
+            b = padic_valuations(m, 3, 50)
             if 12 not in a:
                 assert a == b
-
-
-class TestPadicMatrix:
-    def test_entry_range_validated(self):
-        with pytest.raises(ValueError):
-            PadicMatrix([[4]], 2, 2)
-        with pytest.raises(ValueError):
-            PadicMatrix([[-1]], 2, 2)
-        # floats, complex numbers and non-integer objects at every p, even
-        # inside [0, p**N); and an empty matrix
-        for bad in (np.array([[0.5]]), np.array([[2.5]]), np.array([[1j]]), np.array([[1.5]], dtype=object)):
-            with pytest.raises(ValueError):
-                PadicMatrix(bad, 2, 3)
-            for p in (2, 3):
-                with pytest.raises(ValueError):
-                    reduce_matrix(bad, p, 2)
-        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
-            PadicMatrix(np.zeros((0, 0), dtype=np.int64), 2, 2)
-
-    def test_reduce_matrix_validates_each_entry_once(self, monkeypatch):
-        index = operator.index
-        calls = []
-        monkeypatch.setattr(operator, "index", lambda x: calls.append(x) or index(x))
-        m = reduce_matrix(np.array([[5, -1], [7, 2 ** 70]], dtype=object), 2, 3)
-        assert len(calls) == 4
-        assert m.data.tolist() == [[5, 7], [7, 0]]
-
-    def test_data_read_only(self):
-        m = PadicMatrix([[1]], 2, 4)
-        with pytest.raises(ValueError):
-            m.data[0, 0] = 0
-
-    @pytest.mark.parametrize("p,N", [(2, 1), (2, 3), (2, 62), (2, 90), (3, 4), (5, 30)])
-    def test_residues_match_modulo(self, p, N):
-        # the p = 2 bit mask must agree with % on negative int64 and on
-        # Python ints beyond int64
-        q = p ** N
-        values = [-2 ** 62, -q - 1, -q, -7, -1, 0, 1, 7, q - 1, q, 2 ** 62, -(10 ** 30), 10 ** 30 + 3]
-        big = np.array(values, dtype=object)
-        assert residues(big, p, q).tolist() == [v % q for v in values]
-        if q <= 2 ** 62:
-            small = np.array(values[:-2], dtype=np.int64)
-            assert residues(small, p, q).dtype == np.int64
-            assert residues(small, p, q).tolist() == [v % q for v in values[:-2]]
 
 
 class TestStreamingBlockEliminate:
     def test_k2_example_matches_oracle(self):
         rows = [[2, 0], [1, 3]]
-        got = streaming_block_eliminate(reduce_matrix(rows, 2, 16), [1, 1])
+        got = streaming_block_eliminate(rows, [1, 1], 2, 16)
         assert_matches_exact(got, rows, 2, 16)
         assert got == (1,)
 
     def test_single_block_degenerate(self):
         rows = [[6, 2], [4, 8]]
-        assert_matches_exact(streaming_block_eliminate(reduce_matrix(rows, 2, 16), [2]), rows, 2, 16)
+        assert_matches_exact(streaming_block_eliminate(rows, [2], 2, 16), rows, 2, 16)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_random_block_lower_triangular(self, p):
@@ -492,17 +485,15 @@ class TestStreamingBlockEliminate:
                     for r in range(offs[bi], offs[bi + 1]):
                         for c in range(offs[bj], offs[bj + 1]):
                             rows[r][c] = rng.randint(-9, 9)
-            m = reduce_matrix(rows, p, 16)
-            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, 16)
+            assert_matches_exact(streaming_block_eliminate(rows, sizes, p, 16), rows, p, 16)
 
     @settings(max_examples=150, deadline=None)
     @given(case=block_lower_triangular(), depth=st.integers(1, 5))
     def test_matches_exact_type_on_both_backends(self, case, depth):
         rows, sizes, p = case
-        for N, dtype in ((depth, np.int64), (depth + 40, object)):
-            m = reduce_matrix(rows, p, N)
-            assert m.data.dtype == dtype
-            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+        for N, arithmetic in ((depth, np.float64), (depth + 40, object)):
+            assert kernel_arithmetic(len(rows), p, N) is arithmetic
+            assert_matches_exact(streaming_block_eliminate(rows, sizes, p, N), rows, p, N)
 
     @pytest.mark.parametrize("sizes", [(70,), (40, 40)])
     def test_wide_carry_matches_exact_type(self, sizes):
@@ -516,10 +507,10 @@ class TestStreamingBlockEliminate:
         ]
         rows = unimodular_times_diagonal(rng, sizes, diagonal)
         smith = np.diag(np.array(diagonal, dtype=object))
-        for N, dtype in ((5, np.int64), (45, object)):
-            m = reduce_matrix(np.array(rows, dtype=object), 2, N)
-            assert m.data.dtype == dtype
-            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, 2, N, smith)
+        for N, arithmetic in ((5, np.float64), (45, object)):
+            assert kernel_arithmetic(len(rows), 2, N) is arithmetic
+            got = streaming_block_eliminate(np.array(rows, dtype=object), sizes, 2, N)
+            assert_matches_exact(got, rows, 2, N, smith)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_retiling_invariance(self, p):
@@ -539,23 +530,20 @@ class TestStreamingBlockEliminate:
                         x = rng.randint(-9, 9)
                         rows[r][c] = scale * x if c >= offs[bi] else x
             merged = [sum(sizes[j:j + 2]) for j in range(0, len(sizes), 2)]
-            for N, dtype in ((1, np.int64), (3, np.int64), (40, object)):
-                m = reduce_matrix(rows, p, N)
-                assert m.data.dtype == dtype
-                drawn, pairs, whole = (streaming_block_eliminate(m, t) for t in (sizes, merged, [n]))
+            for N, arithmetic in ((1, np.float64), (3, np.float64), (40, object)):
+                assert kernel_arithmetic(n, p, N) is arithmetic
+                drawn, pairs, whole = (streaming_block_eliminate(rows, t, p, N) for t in (sizes, merged, [n]))
                 assert drawn == pairs == whole
                 for got in (drawn, pairs, whole):
                     assert_matches_exact(got, rows, p, N)
 
     def test_saturation_passes_through(self):
-        m = reduce_matrix([[2, 0], [0, 8]], 2, 2)
-        got = streaming_block_eliminate(m, [1, 1])
+        got = streaming_block_eliminate([[2, 0], [0, 8]], [1, 1], 2, 2)
         assert got == (2, 1)
 
     def test_structural_error_above_diagonal(self):
-        m = reduce_matrix([[2, 1], [1, 3]], 2, 16)
         with pytest.raises(BlockStructureError):
-            streaming_block_eliminate(m, [1, 1])
+            streaming_block_eliminate([[2, 1], [1, 3]], [1, 1], 2, 16)
 
     @pytest.mark.parametrize("row, col, name", [
         (0, 4, "block row 1"),   # the last block column, checked at the first block row
@@ -565,15 +553,15 @@ class TestStreamingBlockEliminate:
         rows = [[1, 0, 0, 0, 0], [3, 2, 0, 0, 0], [1, 1, 2, 0, 0], [5, 0, 1, 2, 0], [1, 1, 1, 1, 1]]
         rows[row][col] = 4
         with pytest.raises(BlockStructureError, match=name):
-            streaming_block_eliminate(reduce_matrix(rows, 2, 8), [1, 2, 2])
+            streaming_block_eliminate(rows, [1, 2, 2], 2, 8)
 
     def test_structural_error_while_carry_is_empty(self):
         # the unit first block leaves an empty carry when block row 2 arrives
         rows = [[1, 0, 0], [7, 3, 1], [2, 5, 1]]
         with pytest.raises(BlockStructureError, match="block row 2"):
-            streaming_block_eliminate(reduce_matrix(rows, 2, 8), [1, 1, 1])
+            streaming_block_eliminate(rows, [1, 1, 1], 2, 8)
         rows[1][2] = 0
-        got = streaming_block_eliminate(reduce_matrix(rows, 2, 8), [1, 1, 1])
+        got = streaming_block_eliminate(rows, [1, 1, 1], 2, 8)
         assert_matches_exact(got, rows, 2, 8)
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -592,10 +580,9 @@ class TestStreamingBlockEliminate:
                     for c in range(offs[bi + 1]):
                         x = rng.randint(-9, 9)
                         rows[r][c] = p * x if bi == zero and c >= offs[bi] else x
-            for N, backend in ((3, np.int64), (45, object)):
-                m = reduce_matrix(rows, p, N)
-                assert m.data.dtype == backend
-                assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+            for N, arithmetic in ((3, np.float64), (45, object)):
+                assert kernel_arithmetic(n, p, N) is arithmetic
+                assert_matches_exact(streaming_block_eliminate(rows, sizes, p, N), rows, p, N)
 
     @pytest.mark.parametrize(
         "p,N,n,arithmetic",
@@ -626,21 +613,26 @@ class TestStreamingBlockEliminate:
                     for c in range(offs[bi + 1]):
                         x = rng.choice([1, -1]) * rng.choice([rng.randint(0, 3), q // 2 - rng.randint(0, 3)])
                         rows[r][c] = p * x if bi == 1 and c >= offs[1] else x
-            m = reduce_matrix(rows, p, N)
-            assert m.data.dtype == np.int64
-            assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+            assert_matches_exact(streaming_block_eliminate(rows, sizes, p, N), rows, p, N)
         assert bool(floats) == (arithmetic == "float64")
+        assert np.dtype(kernel_arithmetic(n, p, N)) == arithmetic
 
     @pytest.mark.parametrize("q", [8, 3 ** 7, 2 ** 20, 3 ** 16])
     def test_lift_gives_symmetric_residues(self, q):
         # the float64 bound counts on every GEMM operand being a symmetric
-        # residue, |r| <= q // 2 + 1, whether looked up or converted
-        a = np.array([[0, 1, 2, q // 2 - 1], [q // 2, q // 2 + 1, q - 2, q - 1]], dtype=np.int64)
-        lifted = exact_linalg._lift(a, q)
+        # residue, |r| <= q // 2 + 1, whether looked up or converted, and
+        # the kernel lifts unreduced int64 entries: negative ones, multiples
+        # of q and the extremes of int64
+        p = 2 if q % 2 == 0 else 3
+        top = 2 ** 63 - 1
+        values = [0, 1, 2, q // 2 - 1, q // 2, q // 2 + 1, q - 2, q - 1, q, q + 1, 5 * q - 1, 2 ** 62 + 3,
+                  top, top - 1, -1, -2, -q, -q - 1, -(q // 2), -top, -top - 1]
+        a = np.array(values, dtype=np.int64).reshape(3, 7)
+        lifted = exact_linalg._lift(a, p, q)
         assert lifted.dtype == np.float64
         assert np.abs(lifted).max() <= q // 2 + 1
-        assert (lifted.astype(np.int64) % q == a).all()
-        assert exact_linalg._lift(lifted, q) is lifted
+        assert [int(x) % q for x in lifted.ravel()] == [v % q for v in values]
+        assert exact_linalg._lift(lifted, p, q) is lifted
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_embedding_of_factors_divisible_by_p(self, p):
@@ -655,10 +647,9 @@ class TestStreamingBlockEliminate:
                 for _ in range(k)
             ]
             rows = build_bidiagonal_embedding(np.array(factors, dtype=object)).tolist()
-            for N, dtype in ((3, np.int64), (45, object)):
-                m = reduce_matrix(rows, p, N)
-                assert m.data.dtype == dtype
-                got = streaming_block_eliminate(m, (n,) * k)
+            for N, arithmetic in ((3, np.float64), (45, object)):
+                assert kernel_arithmetic(n * k, p, N) is arithmetic
+                got = streaming_block_eliminate(rows, (n,) * k, p, N)
                 assert got == (min(k, N),) * n
                 assert_matches_exact(got, rows, p, N)
 
@@ -677,12 +668,92 @@ class TestStreamingBlockEliminate:
                         for c in range(offs[bi + 1]):
                             x = rng.randint(-9, 9)
                             rows[r][c] = p * x if c >= offs[bi] else x
-                for N, dtype in ((4, np.int64), (45, object)):
-                    m = reduce_matrix(rows, p, N)
-                    assert m.data.dtype == dtype
-                    assert_matches_exact(streaming_block_eliminate(m, sizes), rows, p, N)
+                for N, arithmetic in ((4, np.float64), (45, object)):
+                    assert kernel_arithmetic(n, p, N) is arithmetic
+                    assert_matches_exact(streaming_block_eliminate(rows, sizes, p, N), rows, p, N)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=block_lower_triangular(), depth=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+    def test_unreduced_input_matches_exact(self, case, depth, seed):
+        # entries need not be reduced: negatives, multiples of p**N, the
+        # extremes of int64 and, in object arrays, Python ints past 2**64,
+        # on every arithmetic, in block and one-block layouts; an entry
+        # above the diagonal blocks may be any multiple of p**N.  Both
+        # matrices are congruent to `base` mod p**N, so they have its type
+        # mod p**N, which exact SNF gives on base's small entries
+        rows, sizes, p = case
+        rnd = random.Random(seed)
+        n = len(rows)
+        offs = [0, *itertools.accumulate(sizes)]
+        top = 2 ** 63 - 1
+        backends = ((depth, np.float64), ({2: 28, 3: 18, 5: 12}[p], np.int64), ({2: 40, 3: 30, 5: 20}[p], object))
+        for N, arithmetic in backends:
+            q = p ** N
+            assert kernel_arithmetic(n, p, N) is arithmetic
+            base = [row[:] for row in rows]
+            small, wide = [row[:] for row in rows], [row[:] for row in rows]
+            for r in range(n):
+                for c in range(n):
+                    x = base[r][c]
+                    if c >= offs[bisect.bisect_right(offs, r)]:  # above the diagonal blocks
+                        if rnd.random() < 0.3:
+                            small[r][c] = q * rnd.choice([1, -1, top // q])
+                            wide[r][c] = q * rnd.randint(-2 ** 80, 2 ** 80)
+                    elif rnd.random() < 0.2:
+                        small[r][c] = rnd.choice([top, -top, -top - 1])
+                        x = base[r][c] = (small[r][c] + q // 2) % q - q // 2
+                        wide[r][c] = x + q * rnd.randint(-2 ** 80, 2 ** 80)
+                    else:
+                        small[r][c] = rnd.choice([x, x - q, x + q * rnd.randint(-3, 3), (top - x) // q * q + x,
+                                                  x - (top + x) // q * q])
+                        wide[r][c] = x + q * rnd.choice([-1, 1, rnd.randint(-2 ** 80, 2 ** 80)])
+            expected = truncated_type(*cokernel_partition(base, p), N)
+            for m, dtype in ((small, np.int64), (wide, object)):
+                a = np.array(m, dtype=dtype)
+                a.setflags(write=False)
+                assert streaming_block_eliminate(a, sizes, p, N) == expected
+                assert padic_valuations(a, p, N) == expected
+
+    def test_read_only_input_left_unchanged(self):
+        # a trial's draw is read-only and unreduced; the kernel reads it on
+        # the float64 path and reduces a copy past it
+        rng = random.Random(9)
+        sizes = (3, 2, 4)
+        offs = [0, *itertools.accumulate(sizes)]
+        rows = [[rng.randint(-50, 50) if c < offs[bisect.bisect_right(offs, r)] else 0 for c in range(9)] for r in range(9)]
+        for N in (3, 40):
+            for dtype in (np.int64, object):
+                a = np.array(rows, dtype=dtype)
+                a.setflags(write=False)
+                before = a.copy()
+                assert_matches_exact(streaming_block_eliminate(a, sizes, 2, N), rows, 2, N)
+                assert_matches_exact(padic_valuations(a, 2, N), rows, 2, N)
+                assert a.dtype == dtype and not a.flags.writeable
+                assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("N", [3, 40])
+    def test_multiple_of_modulus_above_diagonal_accepted(self, N):
+        # the block structure is that of the residues: an entry above the
+        # diagonal blocks that is 0 mod p**N is accepted, any other raises
+        # and names its block row
+        q = 2 ** N
+        rows = [[1, 0, 0], [3, 2, 0], [1, 5, 2]]
+        for zero in (q, -q, 5 * q):
+            for dtype in (np.int64, object):
+                m = np.array(rows, dtype=dtype)
+                m[0, 2] = m[1, 2] = zero
+                assert_matches_exact(streaming_block_eliminate(m, [1, 1, 1], 2, N), rows, 2, N)
+        big = np.array(rows, dtype=object)
+        big[0, 1] = q * 2 ** 70
+        assert_matches_exact(streaming_block_eliminate(big, [1, 1, 1], 2, N), rows, 2, N)
+        for row, value in ((1, q + 1), (0, -1), (1, 4 * q - 2)):
+            for dtype in (np.int64, object):
+                m = np.array(rows, dtype=dtype)
+                m[0, 1] = q
+                m[row, 2] = value
+                with pytest.raises(BlockStructureError, match=f"block row {row + 1}"):
+                    streaming_block_eliminate(m, [1, 1, 1], 2, N)
 
     def test_block_sizes_must_tile(self):
-        m = reduce_matrix([[2, 0], [1, 3]], 2, 16)
         with pytest.raises(ValueError):
-            streaming_block_eliminate(m, [1, 1, 1])
+            streaming_block_eliminate([[2, 0], [1, 3]], [1, 1, 1], 2, 16)
