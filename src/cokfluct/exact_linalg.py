@@ -304,11 +304,14 @@ def product_mod(stack, p: int, q: int) -> np.ndarray:
     A pairwise tree of batched np.matmul calls: each level multiplies
     neighbouring pairs in one call and carries an odd last matrix up, so
     the order of the factors, and by associativity every residue, is that
-    of a left fold.  The tree runs in float64 when m (q // 2 + 1)**2 <
-    2**52: symmetric residues then bound every dot below 2**52, which
-    float64 holds exactly, and so the next reduction stays exact too.
-    Otherwise it runs in residue_dtype (int64 or Python ints) with
-    `residues`."""
+    of a left fold.  A level reduces the array it keeps, carried matrix
+    and all (a residue reduces to a residue), so the level below is freed
+    before the reduction's temporary is made: a (64, 20, 20) stack of
+    small entries peaks at 1.5 times its own bytes.  The tree runs in
+    float64 when m (q // 2 + 1)**2 < 2**52: symmetric residues then bound
+    every dot below 2**52, which float64 holds exactly, and so the next
+    reduction stays exact too.  Otherwise it runs in residue_dtype (int64
+    or Python ints) with `residues`."""
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
         raise ValueError("need a (b, m, m) stack of one or more square matrices")
@@ -321,8 +324,8 @@ def product_mod(stack, p: int, q: int) -> np.ndarray:
         a = residues(stack.astype(object) if dtype is object else stack, p, q).astype(dtype)
     while len(a) > 1:
         pairs = np.matmul(a[0:-1:2], a[1::2])
-        pairs = _symmetric(pairs, q) if in_float else residues(pairs, p, q)
         a = np.concatenate([pairs, a[-1:]]) if len(a) % 2 else pairs
+        a = _symmetric(a, q) if in_float else residues(a, p, q)
     return np.mod(a[0], q).astype(np.int64) if in_float else a[0]
 
 
@@ -331,15 +334,26 @@ def _symmetric(x: np.ndarray, q: int) -> np.ndarray:
     residue of x mod q with |r| <= q // 2 + 1.  The quotient x * (1 / q)
     rounds twice, so it is off from x / q by less than 1 / q and rint may
     miss the nearest integer by one only within 1 / q of a half; every other
-    intermediate is an integer below 2**53, hence exact."""
-    return x - q * np.rint(x * (1.0 / q))
+    intermediate is an integer below 2**53, hence exact.  One fresh array
+    holds every step, in the order of x - q * rint(x * (1 / q)), so the
+    result is that expression's bit for bit, and x is only read."""
+    r = x * (1.0 / q)
+    np.rint(r, out=r)
+    r *= q
+    return np.subtract(x, r, out=r)
 
 
 def _float_residues(a, p: int, q: int) -> np.ndarray:
-    """float64 symmetric residues mod q of an integer array; entries outside (-2**52, 2**52), or Python ints, are reduced with
-    `residues` first."""
+    """float64 symmetric residues mod q of an integer array, as a fresh
+    array.  Entries that already lie in [-(q // 2), q // 2], such as 0/1
+    factors, are symmetric residues and are only converted; entries outside
+    (-2**52, 2**52), or Python ints, are reduced with `residues` first."""
     a = np.asarray(a)
-    if a.dtype == object or (a.size and (a.min() <= -FLOAT_EXACT or a.max() >= FLOAT_EXACT)):
+    # Python ints, or no entries, go through `residues` (q // 2 < 2**52 here)
+    lo, hi = (a.min(), a.max()) if a.dtype != object and a.size else (-FLOAT_EXACT, FLOAT_EXACT)
+    if -(q // 2) <= lo and hi <= q // 2:
+        return a.astype(np.float64)
+    if lo <= -FLOAT_EXACT or hi >= FLOAT_EXACT:
         a = residues(a, p, q)
     return _symmetric(a.astype(np.float64), q)
 
@@ -432,7 +446,8 @@ def _block_type(a: np.ndarray, sizes: tuple[int, ...], p: int, N: int) -> tuple[
         a = residues(widen(a, q), p, q).astype(residue_dtype(q, n))
     if len(sizes) > 1:
         lay = _layout(sizes)
-        above = lay.above & (a != 0)
+        above = a != 0
+        above &= lay.above
         if above.any():
             above &= residues(a, p, q) != 0  # a multiple of p**N is 0
             if above.any():

@@ -33,7 +33,6 @@ import functools
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -328,6 +327,16 @@ def worker_budget(workers: int) -> int:
     return min(workers, cap)
 
 
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    """concurrent.futures.ProcessPoolExecutor(max_workers=max_workers),
+    imported on first use: the import loads multiprocessing, 15-22 ms that a
+    serial run and `import cokfluct.cli` need not pay.  _collect_records
+    looks this name up per call, so a test can put a stand-in here."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def _collect_records(spec: EnsembleSpec, trials: int, depth: int, workers: int) -> list[TrialRecord]:
     """One settled TrialRecord per trial, in trial order: the trials are cut
     into consecutive chunks, trial_records settles each chunk, and pool.map
@@ -393,7 +402,11 @@ def validate_run(
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
     n = len(values)
     means = np.empty(BOOTSTRAP_RESAMPLES)
-    chunk = max(1, 10 ** 7 // n)  # bound the index-matrix footprint
+    # Index rows and their gather stay below 128 KB, where glibc would map
+    # them afresh, and fault their pages, on every call.  PCG64 carries a
+    # half-used 32-bit word from one call to the next, so the chunked draw
+    # is the stream of one (BOOTSTRAP_RESAMPLES, n) call.
+    chunk = max(1, (2 ** 14 - 1) // n)
     done = 0
     while done < BOOTSTRAP_RESAMPLES:
         m = min(chunk, BOOTSTRAP_RESAMPLES - done)

@@ -327,6 +327,24 @@ def object_fold(stack, q):
     return functools.reduce(lambda a, b: np.dot(a, b) % q, (np.asarray(f, dtype=object) % q for f in stack))
 
 
+class TestSymmetric:
+    @pytest.mark.parametrize("q", [2, 3, 8, 27, 1_000_003, 8 * 1_000_003, 5 ** 11])
+    def test_bitwise_reference_and_input_untouched(self, q):
+        rng = np.random.default_rng(q)
+        halves = (q / 2) * np.arange(-40, 41, dtype=np.float64)  # exact +-q/2 multiples
+        for x in (
+            rng.integers(-(2 ** 52) + 1, 2 ** 52, size=500).astype(np.float64),
+            rng.integers(-4 * q, 4 * q + 1, size=(7, 5, 5)).astype(np.float64),
+            np.floor(halves) if q % 2 else halves,
+        ):
+            x.setflags(write=False)
+            before = x.copy()
+            got = exact_linalg._symmetric(x, q)
+            assert got.tobytes() == (x - q * np.rint(x * (1 / q))).tobytes()
+            assert x.tobytes() == before.tobytes()
+            assert np.abs(got).max() <= q // 2 + 1
+
+
 class TestProductMod:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("N", [1, 3, 40, 256])
@@ -375,6 +393,34 @@ class TestProductMod:
             ])
             assert product_mod(stack, p, q).tolist() == object_fold(stack, q).tolist()
         assert bool(floats) == (tree == "float64")
+
+    @pytest.mark.parametrize("p,q", [(2, 8 * 1_000_003), (3, 27), (2, 2), (1_000_003, 1_000_003)])
+    def test_entries_at_half_the_modulus(self, p, q):
+        # +-(q // 2) are converted as they are, +-(q // 2 + 1) are reduced
+        edges = np.array([q // 2, -(q // 2), q // 2 + 1, -(q // 2 + 1), 0, 1, -1], dtype=np.int64)
+        rng = np.random.default_rng(q)
+        for b, m in ((1, 1), (2, 3), (5, 4), (64, 2)):
+            for values in (edges[:2], edges[2:4], edges):
+                stack = rng.choice(values, size=(b, m, m))
+                floats = exact_linalg._float_residues(stack, p, q)
+                assert floats.dtype == np.float64 and np.abs(floats).max() <= q // 2 + 1
+                assert np.mod(floats.astype(np.int64), q).tolist() == (stack.astype(object) % q).tolist()
+                assert product_mod(stack, p, q).tolist() == object_fold(stack, q).tolist()
+
+    def test_peak_memory_of_factor_stack(self):
+        import tracemalloc
+
+        stack = np.random.default_rng(64).integers(0, 2, size=(64, 20, 20))
+        q = 8 * 1_000_003
+        want = product_mod(stack, 2, q)
+        tracemalloc.start()
+        try:
+            got = product_mod(stack, 2, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want.tolist()
+        assert peak <= 2.0 * stack.nbytes
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError):

@@ -327,6 +327,35 @@ class TestBootstrapPercentile:
             for q in (2.5, 97.5, 0, 50, 100):
                 assert np.float64(_percentile(ordered, q)).tobytes() == np.percentile(values, q).tobytes()
 
+    @pytest.mark.parametrize("n,resamples", [(1, 1000), (7, 1000), (120, 1000), (2000, 1000), (20000, 40)])
+    def test_chunked_draw_is_one_call(self, monkeypatch, n, resamples):
+        # at n = 20000 every chunk is one row; fewer resamples keep the
+        # one-call reference at 6.4 MB
+        from cokfluct import experiments
+
+        monkeypatch.setattr(experiments, "BOOTSTRAP_RESAMPLES", resamples)
+        values = np.random.default_rng(n).normal(size=n)
+        ref = np.random.default_rng([n, 1])
+        means = values[ref.integers(0, n, size=(resamples, n))].mean(axis=1)
+        rng = np.random.default_rng([n, 1])
+        lo, hi = experiments._bootstrap_ci(values, rng)
+        assert (lo, hi) == tuple(np.percentile(means, [2.5, 97.5]).tolist())
+        assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)  # the stream goes on where it did
+
+    def test_traced_peak_stays_small(self):
+        import tracemalloc
+
+        from cokfluct.experiments import _bootstrap_ci
+
+        values = np.random.default_rng(120).random(120)
+        tracemalloc.start()
+        try:
+            _bootstrap_ci(values, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
     def test_run_and_report_do_not_import_numpy_ma(self, tmp_path):
         # np.percentile imports numpy.ma on its first call, inside the
         # timed region of a fresh run

@@ -1,7 +1,10 @@
-"""The package declares every third-party module it imports."""
+"""The package declares every third-party module it imports, and its command
+line leaves the process pool unimported."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,15 @@ def test_every_import_is_stdlib_self_or_declared():
     allowed = set(sys.stdlib_module_names) | {"cokfluct"} | declared_dependencies()
     undeclared = imported_top_level_modules(ROOT / "src" / "cokfluct") - allowed
     assert not undeclared, f"imported but not in [project] dependencies: {sorted(undeclared)}"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # multiprocessing costs 15-22 ms of import time; only a pool run needs it
+    code = (
+        "import sys, cokfluct.cli; "
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
