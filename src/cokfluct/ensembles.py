@@ -8,11 +8,12 @@ of a product, and a counter-style deterministic seeding contract:
 
 `draw_integers` is the one draw of a trial: the assembled int64 matrix of a
 block trial, or the (k, n, n) int64 factor stack of a product or embedding
-trial.  `sample_block_matrix` hands that draw to the elimination kernel,
-which reduces mod p**N what it reads; `product_factors` and `sample_product`
-give residues mod p**N (`residues`), so a trial is the same integer matrix
-at every precision.  Exact callers convert the same draw instead, e.g. the
-exact product `functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
+trial.  `sample_block_matrix` and `product_factors` hand that draw, read-only
+and unreduced, to the elimination kernel, which reduces mod p**N what it
+reads; `sample_product` gives the product's residues mod p**N (`residues`),
+so a trial is the same integer matrix at every precision.  Exact callers
+convert the same draw instead, e.g. the exact product
+`functools.reduce(np.dot, draw_integers(spec, trial).astype(object))`.
 
 `certificate_screen` is a trial's singularity screen: the product of its
 `determinant_blocks` mod CERTIFICATE_PRIME.  A matrix_product trial forms
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import det_bareiss, float_exact, product_mod, residues, widen
+from .exact_linalg import det_bareiss, float_exact, product_mod, residues
 from .pgroups import _is_prime
 
 __all__ = [
@@ -424,18 +425,18 @@ def _require_factor_kind(spec: EnsembleSpec, op: str):
         raise ConfigError(f"{op} needs a matrix_product or bidiagonal_embedding spec")
 
 
-def product_factors(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray:
-    """The (k, n, n) stack of a product trial's factors, reduced mod p**precision."""
+def product_factors(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """The (k, n, n) int64 stack of a product trial's factors: the draw
+    itself, read-only and unreduced (the kernel reduces what it reads)."""
     _require_factor_kind(spec, "product_factors")
-    q = spec.p ** precision
-    return residues(widen(draw_integers(spec, trial), q), spec.p, q)
+    return draw_integers(spec, trial)
 
 
 def _combined_modulus(spec: EnsembleSpec, precision: int) -> int | None:
     """Q = p**precision * CERTIFICATE_PRIME when product_mod runs a tree of
     n x n factors mod Q in float64 (n (Q // 2 + 1)**2 < 2**52), else None.
-    Past that bound the tree would run in int64 or Python ints, slower than
-    two float64 trees, one mod p**precision and one mod the prime."""
+    Past that bound the tree would run in Python ints, slower than two
+    float64 trees, one mod p**precision and one mod the prime."""
     q = spec.p ** precision * CERTIFICATE_PRIME
     return q if float_exact(spec.n, q) else None
 
@@ -453,7 +454,8 @@ def _factor_product(spec: EnsembleSpec, trial: int, q: int) -> np.ndarray:
 def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray:
     """A_1 A_2 ... A_k mod p**precision by exact_linalg.product_mod: a
     pairwise tree of batched products, in float64 while that is exact.
-    Residues in [0, p**precision), int64 or Python ints.
+    Residues in [0, p**precision): int64, or Python ints past the float64
+    bound.
 
     While _combined_modulus admits Q = p**precision * CERTIFICATE_PRIME, the
     tree runs once mod Q and is kept for the trial's certificate_screen;

@@ -21,15 +21,16 @@ reads is reduced and lifted to float64 as it is gathered (_lift), so no
 trial builds a reduced copy first.  An object matrix, or any matrix past
 the float64 bound, is reduced once up front instead.
 
-The kernel and two batched routines compute in float64 wherever every
-intermediate is an integer below 2**53, so the BLAS arithmetic is exact
-integer arithmetic (word-size prime fields in floating point, as in
-FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008); residues are
-then kept symmetric, |r| <= q // 2 + 1, which doubles the largest modulus
-the bound (float_exact) admits.  product_mod multiplies a stack of square
-matrices mod q by a pairwise tree of np.matmul calls, and dets_vanish_mod
-tells which determinants of a stack vanish mod a word-size prime by one
-elimination of the whole stack.
+There are two arithmetics.  The kernel and two batched routines compute in
+float64 wherever every intermediate is an integer below 2**53, so the BLAS
+arithmetic is exact integer arithmetic (word-size prime fields in floating
+point, as in FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008);
+residues are then kept symmetric, |r| <= q // 2 + 1, which doubles the
+largest modulus the bound (float_exact) admits.  Past that bound they
+compute on Python-int residues in [0, q).  product_mod multiplies a stack
+of square matrices mod q by a pairwise tree of np.matmul calls, and
+dets_vanish_mod tells which determinants of a stack vanish mod a word-size
+prime by one elimination of the whole stack.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .pgroups import _is_prime
 
 __all__ = [
     "CokernelPartition",
@@ -66,18 +69,6 @@ def float_exact(dim: int, q: int) -> bool:
     q // 2 + 1: a dot of `dim` products of two of them stays below 2**52,
     and so does its _symmetric residue."""
     return dim * (q // 2 + 1) ** 2 < FLOAT_EXACT
-
-
-def residue_dtype(q: int, dim: int):
-    """Array dtype for residues mod q with `dim`-length dots: int64 when
-    every intermediate (a dot of at most `dim` products of two residues)
-    fits exactly, Python ints otherwise."""
-    return np.int64 if dim * (q - 1) * (q - 1) < 2 ** 62 else object
-
-
-def widen(a: np.ndarray, q: int) -> np.ndarray:
-    """An integer array as Python ints when residues mod q may not fit int64."""
-    return a.astype(object) if q > 2 ** 62 and a.dtype != object else a
 
 
 def _integer_matrix(a) -> np.ndarray:
@@ -299,7 +290,8 @@ def dets_vanish_mod(blocks, prime: int) -> np.ndarray:
 
 def product_mod(stack, p: int, q: int) -> np.ndarray:
     """stack[0] @ stack[1] @ ... mod q, for a (b, m, m) integer stack (int64
-    or object) and q a power of p; residues in [0, q), int64 or object.
+    or object) and q a power of p; residues in [0, q), int64 in float64's
+    range and Python ints past it.
 
     A pairwise tree of batched np.matmul calls: each level multiplies
     neighbouring pairs in one call and carries an odd last matrix up, so
@@ -310,18 +302,13 @@ def product_mod(stack, p: int, q: int) -> np.ndarray:
     small entries peaks at 1.5 times its own bytes.  The tree runs in
     float64 when m (q // 2 + 1)**2 < 2**52: symmetric residues then bound
     every dot below 2**52, which float64 holds exactly, and so the next
-    reduction stays exact too.  Otherwise it runs in residue_dtype (int64
-    or Python ints) with `residues`."""
+    reduction stays exact too.  Otherwise it runs in Python ints with
+    `residues`."""
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
         raise ValueError("need a (b, m, m) stack of one or more square matrices")
-    m = stack.shape[1]
-    in_float = float_exact(m, q)
-    if in_float:
-        a = _float_residues(stack, p, q)
-    else:
-        dtype = residue_dtype(q, m)
-        a = residues(stack.astype(object) if dtype is object else stack, p, q).astype(dtype)
+    in_float = float_exact(stack.shape[1], q)
+    a = _float_residues(stack, p, q) if in_float else residues(stack.astype(object, copy=False), p, q)
     while len(a) > 1:
         pairs = np.matmul(a[0:-1:2], a[1::2])
         a = np.concatenate([pairs, a[-1:]]) if len(a) % 2 else pairs
@@ -424,26 +411,39 @@ def streaming_block_eliminate(a, block_sizes: Sequence[int], p: int, N: int) -> 
     The arithmetic is float64 on symmetric residues when n (q // 2 + 1)**2 <
     2**52 for q = p**N (float_exact), so every GEMM is exact.  An int64
     matrix is then read as it is: each step reduces only the entries it
-    reads (_lift), and the input is never written.  Any other matrix is
-    reduced once up front; past the bound every matrix is, to residues in
-    int64 or Python ints (residue_dtype), and the arithmetic is theirs.
+    reads (_lift), and the input is never written; any other matrix is
+    reduced once up front to int64.  Past the bound every matrix is reduced
+    once up front to Python ints, and the arithmetic is theirs.
+
+    p must be a prime, N an integer >= 1 and every block size an integer
+    >= 1 (not a bool); anything else raises ValueError.
     """
-    return _block_type(_integer_matrix(a), tuple(int(s) for s in block_sizes), p, N)
+    return _block_type(_integer_matrix(a), block_sizes, p, N)
 
 
-def _block_type(a: np.ndarray, sizes: tuple[int, ...], p: int, N: int) -> tuple[int, ...]:
+def _positive_int(x, name: str) -> int:
+    """x as an int if it is an int or numpy integer >= 1, not a bool; else
+    ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
+    return int(x)
+
+
+def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tuple[int, ...]:
     """streaming_block_eliminate of a checked 2-D integer array."""
-    if N < 1:
-        raise ValueError("precision must be >= 1")
-    if any(s <= 0 for s in sizes):
-        raise ValueError("block sizes must be positive")
+    p, N = _positive_int(p, "p"), _positive_int(N, "precision")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    sizes = tuple(_positive_int(s, "block size") for s in block_sizes)
     n = sum(sizes)
     if a.shape != (n, n):
         raise ValueError("block sizes do not tile the matrix")
     q = p ** N
     in_float = float_exact(n, q)
-    if a.dtype != np.int64 or not in_float:
-        a = residues(widen(a, q), p, q).astype(residue_dtype(q, n))
+    if not in_float:
+        a = residues(a.astype(object, copy=False), p, q)
+    elif a.dtype != np.int64:
+        a = residues(a, p, q).astype(np.int64)
     if len(sizes) > 1:
         lay = _layout(sizes)
         above = a != 0
@@ -454,14 +454,14 @@ def _block_type(a: np.ndarray, sizes: tuple[int, ...], p: int, N: int) -> tuple[
                 block = bisect.bisect_right(lay.offsets, int(np.argmax(above.any(axis=1))))
                 raise BlockStructureError(f"block row {block} has a nonzero block above the diagonal")
 
-    _, work = _eliminate_units(a, sizes, p, N, in_float)
+    _, work = _eliminate_units(a, sizes, p, N)
     if len(sizes) > 1 and work.any():  # the unit pivots off the diagonal blocks
-        _, work = _eliminate_units(work, (len(work),), p, N, in_float)
+        _, work = _eliminate_units(work, (len(work),), p, N)
     parts = []  # weakly increasing: the units found at level v are parts v
     for v in range(1, N):
         if not work.any():  # empty, or every row left is saturated
             break
-        units, work = _eliminate_units(work // p, (len(work),), p, N - v, in_float)
+        units, work = _eliminate_units(work // p, (len(work),), p, N - v)
         parts += [v] * units
     return (N,) * len(work) + tuple(reversed(parts))
 
@@ -500,8 +500,9 @@ def _symmetric_table(q: int) -> np.ndarray:
 def _lift(a: np.ndarray, p: int, q: int) -> np.ndarray:
     """float64 symmetric residues mod q of an int64 array of any integers:
     reduced to [0, q) (`residues`), then looked up (q <= 2**16) or
-    converted; a float64 array is already symmetric residues."""
-    if a.dtype == np.float64:
+    converted.  A float64 array is already symmetric residues, and an
+    object array Python-int residues past the float64 bound."""
+    if a.dtype != np.int64:
         return a
     a = residues(a, p, q)
     return _symmetric_table(q).take(a) if q <= 2 ** 16 else _symmetric(a.astype(np.float64), q)
@@ -514,11 +515,12 @@ def residues(a, p: int, q: int):
     return a & (q - 1) if p == 2 else a % q
 
 
-def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_float: bool):
+def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     """One elimination step mod q = p**precision on a block lower triangular
-    integer matrix: when in_float, int64 entries of any size or float64
-    symmetric residues, each block reduced as it is read (_lift);
-    otherwise residues in [0, q) (residue_dtype).
+    integer matrix: within float_exact, int64 entries of any size or float64
+    symmetric residues, each block reduced as it is read (_lift); past it,
+    Python-int residues in [0, q), an object array, whose dtype selects
+    that arithmetic.
 
     Finds a maximal set of unit pivots in each diagonal block (rows R_i,
     columns K_i, with A_i = work[R_i, K_i] invertible mod p), lifts every
@@ -537,24 +539,14 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_fl
     s x s, s the largest block: row t of A_i is row t of the block on the
     pivot columns of its pivot rows when t is a pivot row, e_t otherwise.
 
-    When in_float, every GEMM runs in float64 on symmetric residues
-    (_lift): it has at most n terms, each a product of two residues, so
-    float_exact(n, q) keeps it exact.  When also float_exact(n * n * (q //
-    2 + 1), q), a product with one more residue factor stays exact too, and
-    its inner reduction is left out (delayed reduction)."""
+    In float64 every GEMM runs on symmetric residues (_lift): it has at
+    most n terms, each a product of two residues, so float_exact(n, q)
+    keeps it exact.  When also float_exact(n * n * (q // 2 + 1), q), a
+    product with one more residue factor stays exact too, and its inner
+    reduction is left out (delayed reduction)."""
     q = p ** precision
-    if in_float:
-        def reduce(x):
-            return _symmetric(x, q)
-
-        def lift(a):
-            return _lift(a, p, q)
-    else:
-        def reduce(x):
-            return residues(x, p, q)
-
-        def lift(a):
-            return a
+    in_float = work.dtype != object
+    reduce = functools.partial(_symmetric, q=q) if in_float else functools.partial(residues, p=p, q=q)
     lay = _layout(sizes)
     n, k = len(work), len(sizes)
     bits = work[None] if k == 1 else work[lay.lanes[:, :, None], lay.lanes[:, None, :]]
@@ -573,7 +565,7 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_fl
 
     cols += lay.first
     square = pivot[:, :, None] & pivot[:, None, :]
-    a = np.where(square, lift(work[lay.lanes[:, :, None], cols[:, None, :]]), lay.eye)
+    a = np.where(square, _lift(work[lay.lanes[:, :, None], cols[:, None, :]], p, q), lay.eye)
     x = np.where(square, inv, lay.eye).astype(a.dtype)
     delay = in_float and float_exact(n * n * (q // 2 + 1), q)
     once = (lambda y: y) if delay else reduce
@@ -592,9 +584,9 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, in_fl
     x = -x
     for i, (start, end) in enumerate(itertools.pairwise(lay.offsets)):
         size = end - start
-        t = once(np.dot(lift(work[start:end, :end]), w[:end]))
+        t = once(np.dot(_lift(work[start:end, :end], p, q), w[:end]))
         w[target[i, :size]] = reduce(np.dot(x[i, :size, :size], t))
-    return r, reduce(np.dot(lift(work[free_rows]), w[:n]))
+    return r, reduce(np.dot(_lift(work[free_rows], p, q), w[:n]))
 
 
 def _unit_pivots(bits: np.ndarray, p: int, eye: np.ndarray):

@@ -261,7 +261,7 @@ def run_trial(spec: EnsembleSpec, trial: int, depth: int) -> UnsettledTrial:
     elif spec.kind == "matrix_product":
         partition = padic_valuations(sample_product(spec, trial, depth), spec.p, depth)
     else:
-        m = build_bidiagonal_embedding(product_factors(spec, trial, depth))
+        m = build_bidiagonal_embedding(product_factors(spec, trial))
         partition = streaming_block_eliminate(m, (spec.n,) * spec.k, spec.p, depth)
     screen = None
     if partition[:1] == (depth,):

@@ -358,6 +358,12 @@ class TestTheory:
         assert res.exit_code == 0, res.output
         assert "moment=63247905/128" in res.output
 
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_non_prime_p_exits_2(self, p):
+        res = CliRunner().invoke(main, ["theory", "--p", str(p)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: p must be prime, got {p}" in res.output
+
     def test_lattice_guard_exits_2(self):
         res = CliRunner().invoke(main, ["theory", "--group", "2:13"])
         assert res.exit_code == 2

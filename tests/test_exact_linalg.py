@@ -75,9 +75,8 @@ def unimodular_times_diagonal(rng, sizes, diagonal):
 
 def kernel_arithmetic(n, p, N):
     """The arithmetic the kernel runs on an n x n matrix mod p**N: float64
-    on symmetric residues, else residues in int64 or Python ints."""
-    q = p ** N
-    return np.float64 if exact_linalg.float_exact(n, q) else exact_linalg.residue_dtype(q, n)
+    on symmetric residues, else Python-int residues (object)."""
+    return np.float64 if exact_linalg.float_exact(n, p ** N) else object
 
 
 def assert_matches_exact(typ, rows, p, N, smith=None):
@@ -190,6 +189,24 @@ class TestInputForms:
                     streaming_block_eliminate(bad, [1], p, 2)
         with pytest.raises(ValueError, match="matrix dimensions must be positive"):
             padic_valuations(np.zeros((0, 0), dtype=np.int64), 2, 2)
+
+    @pytest.mark.parametrize(
+        "sizes,p,N",
+        [
+            # p not a prime int, N not an int >= 1, block sizes not ints;
+            # sizes None calls padic_valuations
+            (None, 2, True), (None, 2, 0), (None, 2, 2.0), (None, 1, 2), (None, 4, 2), (None, 0, 2),
+            (None, 2.0, 2), (None, True, 2), ([1.5, 1.5], 2, 3), ([True, True], 2, 3), ([1, 1], 4, 3),
+            ([1, 1], 2, True),
+        ],
+    )
+    def test_kernel_rejects_malformed_modulus_and_blocks(self, sizes, p, N):
+        rows = [[4, 0], [2, 4]]
+        with pytest.raises(ValueError):
+            if sizes is None:
+                padic_valuations(rows, p, N)
+            else:
+                streaming_block_eliminate(rows, sizes, p, N)
 
     def test_kernel_validates_each_entry_once(self, monkeypatch):
         index = operator.index
@@ -376,7 +393,7 @@ class TestProductMod:
             # with symmetric residues
             (5, 5 ** 11, "float64"),
             # just past the bound: 4 (q // 2 + 1)**2 lies in (2**53, 2**54)
-            (3, 3 ** 17, "int64"),
+            (3, 3 ** 17, "object"),
         ],
     )
     def test_modulus_at_float_bound(self, p, q, tree, monkeypatch):
@@ -391,7 +408,9 @@ class TestProductMod:
                 rng.integers(-8, 0, size=(b, 4, 4)),
                 rng.integers(q // 2 - 8, q // 2 + 9, size=(b, 4, 4)),
             ])
-            assert product_mod(stack, p, q).tolist() == object_fold(stack, q).tolist()
+            got = product_mod(stack, p, q)
+            assert got.tolist() == object_fold(stack, q).tolist()
+            assert got.dtype == (np.int64 if tree == "float64" else object)
         assert bool(floats) == (tree == "float64")
 
     @pytest.mark.parametrize("p,q", [(2, 8 * 1_000_003), (3, 27), (2, 2), (1_000_003, 1_000_003)])
@@ -635,9 +654,9 @@ class TestStreamingBlockEliminate:
         [
             # n (q // 2 + 1)**2 just below 2**52, then just above it
             (2, 25, 15, "float64"),
-            (2, 25, 16, "int64"),
+            (2, 25, 16, "object"),
             (3, 16, 9, "float64"),
-            (3, 16, 10, "int64"),
+            (3, 16, 10, "object"),
         ],
     )
     def test_modulus_at_float_bound(self, p, N, n, arithmetic, monkeypatch):
@@ -732,7 +751,7 @@ class TestStreamingBlockEliminate:
         n = len(rows)
         offs = [0, *itertools.accumulate(sizes)]
         top = 2 ** 63 - 1
-        backends = ((depth, np.float64), ({2: 28, 3: 18, 5: 12}[p], np.int64), ({2: 40, 3: 30, 5: 20}[p], object))
+        backends = ((depth, np.float64), ({2: 28, 3: 18, 5: 12}[p], object), ({2: 40, 3: 30, 5: 20}[p], object))
         for N, arithmetic in backends:
             q = p ** N
             assert kernel_arithmetic(n, p, N) is arithmetic
