@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_linalg import det_bareiss, float_exact, product_mod, residues
+from .exact_linalg import _layout, det_bareiss, float_exact, product_mod, residues
 from .pgroups import _is_prime
 
 __all__ = [
@@ -446,7 +446,7 @@ def _factor_product(spec: EnsembleSpec, trial: int, q: int) -> np.ndarray:
     """A_1 A_2 ... A_k mod q (q = _combined_modulus), read-only.  The last
     product is kept, so sample_product and certificate_screen of one trial
     share it."""
-    prod = product_mod(draw_integers(spec, trial), q, q)
+    prod = product_mod(draw_integers(spec, trial), q)
     prod.setflags(write=False)
     return prod
 
@@ -465,8 +465,8 @@ def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray
     q = spec.p ** precision
     big = _combined_modulus(spec, precision)
     if big:
-        return residues(_factor_product(spec, trial, big), spec.p, q)
-    return product_mod(draw_integers(spec, trial), spec.p, q)
+        return residues(_factor_product(spec, trial, big), q)
+    return product_mod(draw_integers(spec, trial), q)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:
@@ -487,13 +487,8 @@ def determinant_blocks(spec: EnsembleSpec, trial: int) -> np.ndarray:
     ints = draw_integers(spec, trial)
     if spec.kind != "block_triangular":
         return ints
-    m = max(spec.block_sizes)
-    stack = np.broadcast_to(np.identity(m, dtype=np.int64), (spec.k, m, m)).copy()
-    start = 0
-    for blk, s in zip(stack, spec.block_sizes):
-        blk[:s, :s] = ints[start:start + s, start:start + s]
-        start += s
-    return stack
+    lay = _layout(spec.block_sizes)
+    return np.where(lay.inside, ints[lay.lanes[:, :, None], lay.lanes[:, None, :]], lay.eye)
 
 
 def certificate_screen(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray:
@@ -506,8 +501,8 @@ def certificate_screen(spec: EnsembleSpec, trial: int, precision: int) -> np.nda
     by product_mod."""
     big = _combined_modulus(spec, precision) if spec.kind == "matrix_product" else None
     if big:
-        return _factor_product(spec, trial, big) % CERTIFICATE_PRIME
-    return product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+        return residues(_factor_product(spec, trial, big), CERTIFICATE_PRIME)
+    return product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME)
 
 
 def build_bidiagonal_embedding(factors) -> np.ndarray:

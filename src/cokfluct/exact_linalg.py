@@ -17,9 +17,9 @@ Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
 The kernel takes one with (p, N) and reduces mod p**N only what it reads:
 the GF(p) search reduces its gathers mod p, and every block of rows a GEMM
-reads is reduced and lifted to float64 as it is gathered (_lift), so no
-trial builds a reduced copy first.  An object matrix, or any matrix past
-the float64 bound, is reduced once up front instead.
+reads is reduced and lifted to float64 as it is gathered (_float_residues),
+so no trial builds a reduced copy first.  An object matrix, or any matrix
+past the float64 bound, is reduced once up front instead.
 
 There are two arithmetics.  The kernel and two batched routines compute in
 float64 wherever every intermediate is an integer below 2**53, so the BLAS
@@ -27,10 +27,12 @@ arithmetic is exact integer arithmetic (word-size prime fields in floating
 point, as in FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008);
 residues are then kept symmetric, |r| <= q // 2 + 1, which doubles the
 largest modulus the bound (float_exact) admits.  Past that bound they
-compute on Python-int residues in [0, q).  product_mod multiplies a stack
-of square matrices mod q by a pairwise tree of np.matmul calls, and
-dets_vanish_mod tells which determinants of a stack vanish mod a word-size
-prime by one elimination of the whole stack.
+compute on Python-int residues in [0, q), which one rule gives for any
+modulus q (`residues`): a bit mask when q is a power of two, `%`
+otherwise.  product_mod multiplies a stack of square matrices mod q by a
+pairwise tree of np.matmul calls, and dets_vanish_mod tells which
+determinants of a stack vanish mod a word-size prime by one elimination
+of the whole stack.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def dets_vanish_mod(blocks, prime: int) -> np.ndarray:
     tests."""
     if not 2 <= prime < 2 ** 26:
         raise ValueError(f"dets_vanish_mod needs a prime below 2**26, got {prime}")
-    a = _float_residues(blocks, prime, prime)
+    a = _float_residues(blocks, prime)
     b, m, _ = a.shape
     idx = np.arange(b)
     for t in range(m - 1):
@@ -288,10 +290,10 @@ def dets_vanish_mod(blocks, prime: int) -> np.ndarray:
     return (np.diagonal(a, axis1=1, axis2=2) == 0).any(axis=1)
 
 
-def product_mod(stack, p: int, q: int) -> np.ndarray:
+def product_mod(stack, q: int) -> np.ndarray:
     """stack[0] @ stack[1] @ ... mod q, for a (b, m, m) integer stack (int64
-    or object) and q a power of p; residues in [0, q), int64 in float64's
-    range and Python ints past it.
+    or object) and any modulus q >= 1; residues in [0, q), int64 in
+    float64's range and Python ints past it.
 
     A pairwise tree of batched np.matmul calls: each level multiplies
     neighbouring pairs in one call and carries an odd last matrix up, so
@@ -308,11 +310,11 @@ def product_mod(stack, p: int, q: int) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
         raise ValueError("need a (b, m, m) stack of one or more square matrices")
     in_float = float_exact(stack.shape[1], q)
-    a = _float_residues(stack, p, q) if in_float else residues(stack.astype(object, copy=False), p, q)
+    a = _float_residues(stack, q) if in_float else residues(stack.astype(object, copy=False), q)
     while len(a) > 1:
         pairs = np.matmul(a[0:-1:2], a[1::2])
         a = np.concatenate([pairs, a[-1:]]) if len(a) % 2 else pairs
-        a = _symmetric(a, q) if in_float else residues(a, p, q)
+        a = _symmetric(a, q) if in_float else residues(a, q)
     return np.mod(a[0], q).astype(np.int64) if in_float else a[0]
 
 
@@ -330,18 +332,28 @@ def _symmetric(x: np.ndarray, q: int) -> np.ndarray:
     return np.subtract(x, r, out=r)
 
 
-def _float_residues(a, p: int, q: int) -> np.ndarray:
-    """float64 symmetric residues mod q of an integer array, as a fresh
-    array.  Entries that already lie in [-(q // 2), q // 2], such as 0/1
-    factors, are symmetric residues and are only converted; entries outside
-    (-2**52, 2**52), or Python ints, are reduced with `residues` first."""
+@functools.lru_cache(maxsize=8)
+def _symmetric_table(q: int) -> np.ndarray:
+    """The float64 symmetric residue of each of 0 .. q - 1."""
+    return _symmetric(np.arange(q, dtype=np.float64), q)
+
+
+def _float_residues(a, q: int) -> np.ndarray:
+    """float64 symmetric residues mod q of an integer array (int64 or
+    object) of any integers, as a fresh array.  Up to q = 2**16 they are
+    looked up after `residues`.  Above it, entries that already lie in
+    [-(q // 2), q // 2], such as 0/1 factors, are symmetric residues and are
+    only converted; entries outside (-2**52, 2**52), or Python ints, are
+    reduced with `residues` first."""
     a = np.asarray(a)
+    if q <= 2 ** 16:
+        return _symmetric_table(q).take(residues(a, q).astype(np.int64, copy=False))
     # Python ints, or no entries, go through `residues` (q // 2 < 2**52 here)
     lo, hi = (a.min(), a.max()) if a.dtype != object and a.size else (-FLOAT_EXACT, FLOAT_EXACT)
     if -(q // 2) <= lo and hi <= q // 2:
         return a.astype(np.float64)
     if lo <= -FLOAT_EXACT or hi >= FLOAT_EXACT:
-        a = residues(a, p, q)
+        a = residues(a, q)
     return _symmetric(a.astype(np.float64), q)
 
 
@@ -411,9 +423,9 @@ def streaming_block_eliminate(a, block_sizes: Sequence[int], p: int, N: int) -> 
     The arithmetic is float64 on symmetric residues when n (q // 2 + 1)**2 <
     2**52 for q = p**N (float_exact), so every GEMM is exact.  An int64
     matrix is then read as it is: each step reduces only the entries it
-    reads (_lift), and the input is never written; any other matrix is
-    reduced once up front to int64.  Past the bound every matrix is reduced
-    once up front to Python ints, and the arithmetic is theirs.
+    reads (_float_residues), and the input is never written; any other
+    matrix is reduced once up front to int64.  Past the bound every matrix
+    is reduced once up front to Python ints, and the arithmetic is theirs.
 
     p must be a prime, N an integer >= 1 and every block size an integer
     >= 1 (not a bool); anything else raises ValueError.
@@ -441,15 +453,15 @@ def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tu
     q = p ** N
     in_float = float_exact(n, q)
     if not in_float:
-        a = residues(a.astype(object, copy=False), p, q)
+        a = residues(a.astype(object, copy=False), q)
     elif a.dtype != np.int64:
-        a = residues(a, p, q).astype(np.int64)
+        a = residues(a, q).astype(np.int64)
     if len(sizes) > 1:
         lay = _layout(sizes)
         above = a != 0
         above &= lay.above
         if above.any():
-            above &= residues(a, p, q) != 0  # a multiple of p**N is 0
+            above &= residues(a, q) != 0  # a multiple of p**N is 0
             if above.any():
                 block = bisect.bisect_right(lay.offsets, int(np.argmax(above.any(axis=1))))
                 raise BlockStructureError(f"block row {block} has a nonzero block above the diagonal")
@@ -491,36 +503,20 @@ def _layout(sizes: tuple[int, ...]) -> _Layout:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _symmetric_table(q: int) -> np.ndarray:
-    """The float64 symmetric residue of each of 0 .. q - 1."""
-    return _symmetric(np.arange(q, dtype=np.float64), q)
-
-
-def _lift(a: np.ndarray, p: int, q: int) -> np.ndarray:
-    """float64 symmetric residues mod q of an int64 array of any integers:
-    reduced to [0, q) (`residues`), then looked up (q <= 2**16) or
-    converted.  A float64 array is already symmetric residues, and an
-    object array Python-int residues past the float64 bound."""
-    if a.dtype != np.int64:
-        return a
-    a = residues(a, p, q)
-    return _symmetric_table(q).take(a) if q <= 2 ** 16 else _symmetric(a.astype(np.float64), q)
-
-
-def residues(a, p: int, q: int):
+def residues(a, q: int):
     """Residues in [0, q) of an integer array (int64 or object) or int, for
-    q a power of p: a bit mask at p = 2, which is also right for negative
-    int64 and Python ints, `%` otherwise."""
-    return a & (q - 1) if p == 2 else a % q
+    any modulus q >= 1: a bit mask when q is a power of two, which is also
+    right for negative int64 and Python ints, `%` otherwise."""
+    return a & (q - 1) if q & (q - 1) == 0 else a % q
 
 
 def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     """One elimination step mod q = p**precision on a block lower triangular
-    integer matrix: within float_exact, int64 entries of any size or float64
-    symmetric residues, each block reduced as it is read (_lift); past it,
-    Python-int residues in [0, q), an object array, whose dtype selects
-    that arithmetic.
+    integer matrix: within float_exact, int64 entries of any size, each
+    block reduced as it is read (_float_residues), or float64 symmetric
+    residues; past it, Python-int residues in [0, q), an object array.  The
+    dtype of work selects the arithmetic and the lift, once per call;
+    beyond q, p serves only the search over GF(p).
 
     Finds a maximal set of unit pivots in each diagonal block (rows R_i,
     columns K_i, with A_i = work[R_i, K_i] invertible mod p), lifts every
@@ -539,18 +535,19 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     s x s, s the largest block: row t of A_i is row t of the block on the
     pivot columns of its pivot rows when t is a pivot row, e_t otherwise.
 
-    In float64 every GEMM runs on symmetric residues (_lift): it has at
+    In float64 every GEMM runs on symmetric residues: it has at
     most n terms, each a product of two residues, so float_exact(n, q)
     keeps it exact.  When also float_exact(n * n * (q // 2 + 1), q), a
     product with one more residue factor stays exact too, and its inner
     reduction is left out (delayed reduction)."""
     q = p ** precision
     in_float = work.dtype != object
-    reduce = functools.partial(_symmetric, q=q) if in_float else functools.partial(residues, p=p, q=q)
+    reduce = functools.partial(_symmetric, q=q) if in_float else functools.partial(residues, q=q)
+    lift = functools.partial(_float_residues, q=q) if work.dtype == np.int64 else (lambda a: a)
     lay = _layout(sizes)
     n, k = len(work), len(sizes)
     bits = work[None] if k == 1 else work[lay.lanes[:, :, None], lay.lanes[:, None, :]]
-    bits = residues(bits.astype(np.int64) if bits.dtype == np.float64 else bits, p, p)
+    bits = residues(bits.astype(np.int64) if bits.dtype == np.float64 else bits, p)
     if k > 1:
         bits *= lay.inside
     cols, inv = _unit_pivots(bits.astype(np.uint8 if p == 2 else np.int64), p, lay.eye)
@@ -565,7 +562,7 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
 
     cols += lay.first
     square = pivot[:, :, None] & pivot[:, None, :]
-    a = np.where(square, _lift(work[lay.lanes[:, :, None], cols[:, None, :]], p, q), lay.eye)
+    a = np.where(square, lift(work[lay.lanes[:, :, None], cols[:, None, :]]), lay.eye)
     x = np.where(square, inv, lay.eye).astype(a.dtype)
     delay = in_float and float_exact(n * n * (q // 2 + 1), q)
     once = (lambda y: y) if delay else reduce
@@ -584,9 +581,9 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     x = -x
     for i, (start, end) in enumerate(itertools.pairwise(lay.offsets)):
         size = end - start
-        t = once(np.dot(_lift(work[start:end, :end], p, q), w[:end]))
+        t = once(np.dot(lift(work[start:end, :end]), w[:end]))
         w[target[i, :size]] = reduce(np.dot(x[i, :size, :size], t))
-    return r, reduce(np.dot(_lift(work[free_rows], p, q), w[:n]))
+    return r, reduce(np.dot(lift(work[free_rows]), w[:n]))
 
 
 def _unit_pivots(bits: np.ndarray, p: int, eye: np.ndarray):

@@ -368,10 +368,10 @@ class TestCombinedProduct:
         assert (_combined_modulus(spec, depth) is not None) == shared
         for trial in range(4):
             draw = draw_integers(spec, trial)
-            expected = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+            expected = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME)
             # either call may come first and form the trial's product
             screen = certificate_screen(spec, trial, depth) if trial % 2 else None
-            assert np.array_equal(sample_product(spec, trial, depth), product_mod(draw, p, p ** depth))
+            assert np.array_equal(sample_product(spec, trial, depth), product_mod(draw, p ** depth))
             if screen is None:
                 screen = certificate_screen(spec, trial, depth)
             assert screen.dtype == expected.dtype == np.int64
@@ -390,7 +390,7 @@ class TestCombinedProduct:
                          A_dist=EntryDistribution.uniform_mod(2), master_seed=5),
         ):
             for trial in range(3):
-                expected = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME, CERTIFICATE_PRIME)
+                expected = product_mod(determinant_blocks(spec, trial), CERTIFICATE_PRIME)
                 assert np.array_equal(certificate_screen(spec, trial, 3), expected)
 
 

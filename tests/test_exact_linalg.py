@@ -218,16 +218,16 @@ class TestInputForms:
 
     @pytest.mark.parametrize("p,N", [(2, 1), (2, 3), (2, 62), (2, 90), (3, 4), (5, 30)])
     def test_residues_match_modulo(self, p, N):
-        # the p = 2 bit mask must agree with % on negative int64 and on
-        # Python ints beyond int64
+        # the bit mask at a power of two must agree with % on negative int64
+        # and on Python ints beyond int64
         q = p ** N
         values = [-2 ** 62, -q - 1, -q, -7, -1, 0, 1, 7, q - 1, q, 2 ** 62, -(10 ** 30), 10 ** 30 + 3]
         big = np.array(values, dtype=object)
-        assert residues(big, p, q).tolist() == [v % q for v in values]
+        assert residues(big, q).tolist() == [v % q for v in values]
         if q <= 2 ** 62:
             small = np.array(values[:-2], dtype=np.int64)
-            assert residues(small, p, q).dtype == np.int64
-            assert residues(small, p, q).tolist() == [v % q for v in values[:-2]]
+            assert residues(small, q).dtype == np.int64
+            assert residues(small, q).tolist() == [v % q for v in values[:-2]]
 
 
 class TestBareissHelpers:
@@ -373,8 +373,8 @@ class TestProductMod:
                 m = int(rng.integers(1, 5))
                 stack = rng.integers(low, high, size=(b, m, m), dtype=np.int64)
                 want = object_fold(stack, q).tolist()
-                assert product_mod(stack, p, q).tolist() == want
-                assert product_mod(stack.astype(object), p, q).tolist() == want
+                assert product_mod(stack, q).tolist() == want
+                assert product_mod(stack.astype(object), q).tolist() == want
 
     def test_word_prime_with_extreme_entries(self):
         # entries at the edges of the float64 pre-reduction (|x| < 2**52)
@@ -384,7 +384,7 @@ class TestProductMod:
         rng = np.random.default_rng(7)
         for b in (1, 6, 11):
             stack = rng.choice(np.array(edges, dtype=np.int64), size=(b, 3, 3))
-            assert product_mod(stack, q, q).tolist() == object_fold(stack, q).tolist()
+            assert product_mod(stack, q).tolist() == object_fold(stack, q).tolist()
 
     @pytest.mark.parametrize(
         "p,q,tree",
@@ -408,7 +408,7 @@ class TestProductMod:
                 rng.integers(-8, 0, size=(b, 4, 4)),
                 rng.integers(q // 2 - 8, q // 2 + 9, size=(b, 4, 4)),
             ])
-            got = product_mod(stack, p, q)
+            got = product_mod(stack, q)
             assert got.tolist() == object_fold(stack, q).tolist()
             assert got.dtype == (np.int64 if tree == "float64" else object)
         assert bool(floats) == (tree == "float64")
@@ -421,31 +421,54 @@ class TestProductMod:
         for b, m in ((1, 1), (2, 3), (5, 4), (64, 2)):
             for values in (edges[:2], edges[2:4], edges):
                 stack = rng.choice(values, size=(b, m, m))
-                floats = exact_linalg._float_residues(stack, p, q)
+                floats = exact_linalg._float_residues(stack, q)
                 assert floats.dtype == np.float64 and np.abs(floats).max() <= q // 2 + 1
                 assert np.mod(floats.astype(np.int64), q).tolist() == (stack.astype(object) % q).tolist()
-                assert product_mod(stack, p, q).tolist() == object_fold(stack, q).tolist()
+                assert product_mod(stack, q).tolist() == object_fold(stack, q).tolist()
 
     def test_peak_memory_of_factor_stack(self):
         import tracemalloc
 
         stack = np.random.default_rng(64).integers(0, 2, size=(64, 20, 20))
         q = 8 * 1_000_003
-        want = product_mod(stack, 2, q)
+        want = product_mod(stack, q)
         tracemalloc.start()
         try:
-            got = product_mod(stack, 2, q)
+            got = product_mod(stack, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got.tolist() == want.tolist()
         assert peak <= 2.0 * stack.nbytes
 
+    @pytest.mark.parametrize("q", [1, 6, 12, 8 * 1_000_003, 2 ** 60 + 4])
+    def test_any_modulus(self, q):
+        # one rule keyed by q: a bit mask only at a power of two (q = 1
+        # among them), `%` at moduli that are no prime power, on int64
+        # extremes, negative entries and Python ints; 2**60 + 4 is past the
+        # float64 bound, so its products run in Python ints
+        top = np.iinfo(np.int64).max
+        values = [-top - 1, -top, -2 ** 62, -q - 1, -q, -13, -7, -1, 0, 1, 5, 7, 13, q - 1, q, q + 1, 2 ** 62, top]
+        small = np.array(values, dtype=np.int64)
+        assert residues(small, q).dtype == np.int64
+        assert residues(small, q).tolist() == [v % q for v in values]
+        big = values + [-(10 ** 30), 10 ** 30 + 3]
+        assert residues(np.array(big, dtype=object), q).tolist() == [v % q for v in big]
+        assert [residues(v, q) for v in big] == [v % q for v in big]
+        rng = np.random.default_rng(q)
+        for b, m in ((1, 1), (2, 1), (3, 2), (8, 3)):
+            stack = rng.choice(small, size=(b, m, m))
+            want = object_fold(stack, q).tolist()
+            assert product_mod(stack, q).tolist() == want
+            assert product_mod(stack.astype(object), q).tolist() == want
+        five_seven = np.array([[[5]], [[7]]])
+        assert product_mod(five_seven, q).tolist() == object_fold(five_seven, q).tolist() == [[35 % q]]
+
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError):
-            product_mod(np.zeros((2, 2, 3), dtype=np.int64), 2, 4)
+            product_mod(np.zeros((2, 2, 3), dtype=np.int64), 4)
         with pytest.raises(ValueError):
-            product_mod(np.zeros((0, 2, 2), dtype=np.int64), 2, 4)
+            product_mod(np.zeros((0, 2, 2), dtype=np.int64), 4)
 
 
 class TestCokernelPartition:
@@ -688,16 +711,14 @@ class TestStreamingBlockEliminate:
         # residue, |r| <= q // 2 + 1, whether looked up or converted, and
         # the kernel lifts unreduced int64 entries: negative ones, multiples
         # of q and the extremes of int64
-        p = 2 if q % 2 == 0 else 3
         top = 2 ** 63 - 1
         values = [0, 1, 2, q // 2 - 1, q // 2, q // 2 + 1, q - 2, q - 1, q, q + 1, 5 * q - 1, 2 ** 62 + 3,
                   top, top - 1, -1, -2, -q, -q - 1, -(q // 2), -top, -top - 1]
         a = np.array(values, dtype=np.int64).reshape(3, 7)
-        lifted = exact_linalg._lift(a, p, q)
+        lifted = exact_linalg._float_residues(a, q)
         assert lifted.dtype == np.float64
         assert np.abs(lifted).max() <= q // 2 + 1
         assert [int(x) % q for x in lifted.ravel()] == [v % q for v in values]
-        assert exact_linalg._lift(lifted, p, q) is lifted
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_embedding_of_factors_divisible_by_p(self, p):
