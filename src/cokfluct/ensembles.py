@@ -294,23 +294,23 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
-        if self.k < 1:
+        if config_int(self.k, "k") < 1:
             raise ConfigError("k must be >= 1")
         if self.kind == "block_triangular":
             if self.block_sizes is None:
                 raise ConfigError("block_triangular needs block_sizes")
-            sizes = tuple(int(s) for s in self.block_sizes)
+            sizes = tuple(config_int(s, "block_sizes entry") for s in self.block_sizes)
             if len(sizes) != self.k or any(s < 1 for s in sizes):
                 raise ConfigError("block_sizes must be k positive ints")
             object.__setattr__(self, "block_sizes", sizes)
             if self.B_dist is None:
                 raise ConfigError("block_triangular needs B_dist")
         else:
-            if self.n is None or self.n < 1:
+            if self.n is None or config_int(self.n, "n") < 1:
                 raise ConfigError(f"{self.kind} needs n >= 1")
-        if self.master_seed < 0:
+        if config_int(self.master_seed, "master_seed") < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if not _is_prime(self.p):
+        if not _is_prime(config_int(self.p, "p")):
             raise ConfigError(f"p must be prime, got {self.p}")
         if not self.A_dist.is_balanced(self.p):
             raise ConfigError(
@@ -443,9 +443,10 @@ def _combined_modulus(spec: EnsembleSpec, precision: int) -> int | None:
 
 @functools.lru_cache(maxsize=1)
 def _factor_product(spec: EnsembleSpec, trial: int, q: int) -> np.ndarray:
-    """A_1 A_2 ... A_k mod q (q = _combined_modulus), read-only.  The last
-    product is kept, so sample_product and certificate_screen of one trial
-    share it."""
+    """A_1 A_2 ... A_k mod q, read-only: q is the combined modulus of
+    _combined_modulus, or p**precision past its bound.  The last product is
+    kept, so sample_product and certificate_screen of one trial share the
+    combined one."""
     prod = product_mod(draw_integers(spec, trial), q)
     prod.setflags(write=False)
     return prod
@@ -460,13 +461,10 @@ def sample_product(spec: EnsembleSpec, trial: int, precision: int) -> np.ndarray
     While _combined_modulus admits Q = p**precision * CERTIFICATE_PRIME, the
     tree runs once mod Q and is kept for the trial's certificate_screen;
     p**precision divides Q, so the residues are those of the tree mod
-    p**precision."""
+    p**precision.  Past that bound the tree runs mod p**precision itself."""
     _require_factor_kind(spec, "sample_product")
     q = spec.p ** precision
-    big = _combined_modulus(spec, precision)
-    if big:
-        return residues(_factor_product(spec, trial, big), q)
-    return product_mod(draw_integers(spec, trial), q)
+    return residues(_factor_product(spec, trial, _combined_modulus(spec, precision) or q), q)
 
 
 def factor_determinants(spec: EnsembleSpec, trial: int) -> list[int]:

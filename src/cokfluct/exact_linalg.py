@@ -305,7 +305,9 @@ def product_mod(stack, q: int) -> np.ndarray:
     float64 when m (q // 2 + 1)**2 < 2**52: symmetric residues then bound
     every dot below 2**52, which float64 holds exactly, and so the next
     reduction stays exact too.  Otherwise it runs in Python ints with
-    `residues`."""
+    `residues`.  q < 1 raises ValueError."""
+    if q < 1:
+        raise ValueError(f"product_mod needs a modulus q >= 1, got {q}")
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
         raise ValueError("need a (b, m, m) stack of one or more square matrices")
@@ -506,7 +508,10 @@ def _layout(sizes: tuple[int, ...]) -> _Layout:
 def residues(a, q: int):
     """Residues in [0, q) of an integer array (int64 or object) or int, for
     any modulus q >= 1: a bit mask when q is a power of two, which is also
-    right for negative int64 and Python ints, `%` otherwise."""
+    right for negative int64 and Python ints, `%` otherwise.  q < 1 raises
+    ValueError."""
+    if q < 1:
+        raise ValueError(f"residues needs a modulus q >= 1, got {q}")
     return a & (q - 1) if q & (q - 1) == 0 else a % q
 
 

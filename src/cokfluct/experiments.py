@@ -16,7 +16,8 @@ of its determinant blocks mod a word-size prime (a product trial reads it
 off the factor product it has just formed); trial_records then settles a
 chunk of trials with one batched determinant of all their screens mod
 that prime.  Only a trial whose screen vanishes is redrawn for the exact
-check, which ranks the block likeliest to be singular first.
+check: exact rational rank of its blocks, smallest |float64 det| first, up
+to the first singular one.
 
 Aggregation yields empirical rescaled Hom-moments, moments of the centered
 rank vector, and the centered-vector histogram, with bootstrap percentile
@@ -100,12 +101,11 @@ SETTLE_CHUNK = 256  # trials settled together: at most this many screens are sta
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one trial: the type of Gamma/p**D Gamma (free summands
-    show as parts equal to D = precision_used) and whether det M = 0."""
+    """Outcome of one trial: the type of Gamma/p**D Gamma at the run's depth
+    D (free summands show as parts equal to D) and whether det M = 0."""
 
     partition: tuple[int, ...]
     singular: bool
-    precision_used: int
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list
     product of the determinants of determinant_blocks and GF(prime) is a
     field, so a nonzero screen determinant makes the trial nonsingular.  A
     trial whose screen vanishes redraws its blocks, and _has_singular_block
-    settles it by exact rational rank."""
+    settles it by exact rational rank alone, with no second screen."""
     unsettled = [run_trial(spec, t, depth) for t in trials]
     screened = [i for i, u in enumerate(unsettled) if u.screen is not None]
     vanishing = np.zeros(len(unsettled), dtype=bool)
@@ -287,29 +287,21 @@ def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list
     records = []
     for t, u, vanishes in zip(trials, unsettled, vanishing):
         singular = bool(vanishes) and _has_singular_block(determinant_blocks(spec, t))
-        records.append(TrialRecord(u.partition, singular, u.precision_used))
+        records.append(TrialRecord(u.partition, singular))
     return records
 
 
 def _has_singular_block(blocks: np.ndarray) -> bool:
     """Whether a (b, m, m) integer stack has a block of rank < m over Q.
 
-    The block whose float64 determinant is smallest in absolute value, the
-    likeliest to be singular, is ranked first.  Only when it has full rank
-    does one batched elimination take the other blocks' determinants mod
-    CERTIFICATE_PRIME, and exact rational rank is checked, in block order,
-    for each that vanishes there, up to the first singular one; a single
-    block is only ranked.  The float determinant only orders the checks;
-    every answer is rational_rank's."""
-    m = blocks.shape[1]
-    if len(blocks) == 1:
-        return rational_rank(blocks[0]) < m
+    Exact rational rank is checked block by block, up to the first singular
+    one, in order of |float64 determinant|, smallest (likeliest singular)
+    first, ties (overflowed infinities among them) in block order.  The
+    float determinant only orders the checks; every answer is
+    rational_rank's."""
     with np.errstate(all="ignore"):  # entries near 2**63 overflow the float determinant
-        first = int(np.argmin(np.abs(np.linalg.det(blocks.astype(np.float64)))))
-    if rational_rank(blocks[first]) < m:
-        return True
-    rest = np.delete(blocks, first, axis=0)
-    return any(rational_rank(rest[b]) < m for b in np.flatnonzero(dets_vanish_mod(rest, CERTIFICATE_PRIME)))
+        order = np.argsort(np.abs(np.linalg.det(blocks.astype(np.float64))), kind="stable")
+    return any(rational_rank(blocks[b]) < blocks.shape[1] for b in order)
 
 
 def worker_budget(workers: int) -> int:

@@ -161,6 +161,30 @@ class TestEnsembleSpecValidation:
         with pytest.raises(ConfigError):
             block_spec(block_sizes=(3, 3, 0, 3))
 
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            ("block_triangular", "block_sizes", (2.7, 3, 3, 3)),
+            ("block_triangular", "block_sizes", (True, 3, 3, 3)),
+            ("block_triangular", "master_seed", 1.5),
+            ("block_triangular", "k", 4.0),
+            ("block_triangular", "p", 2.0),
+            ("matrix_product", "n", 2.5),
+            ("matrix_product", "k", 2.0),
+            ("matrix_product", "master_seed", True),
+            ("bidiagonal_embedding", "n", 3.0),
+        ],
+    )
+    def test_non_integer_field_rejected(self, kind, field, value):
+        # the Python API checks what from_dict checks: nothing is truncated
+        # or left to fail later
+        make = block_spec if kind == "block_triangular" else functools.partial(
+            EnsembleSpec, p=2, kind=kind, k=2, n=3, A_dist=EntryDistribution.uniform_mod(2), master_seed=1,
+        )
+        make()
+        with pytest.raises(ConfigError, match=f"{field}.* must be an integer"):
+            make(**{field: value})
+
     def test_b_dist_unconstrained(self):
         block_spec(B_dist=EntryDistribution.constant(0))
         block_spec(B_dist=EntryDistribution.constant(1))

@@ -229,6 +229,15 @@ class TestInputForms:
             assert residues(small, q).dtype == np.int64
             assert residues(small, q).tolist() == [v % q for v in values[:-2]]
 
+    @pytest.mark.parametrize("q", [0, -4])
+    def test_modulus_below_one_rejected(self, q):
+        # no residue lies in [0, q) for q < 1, so no answer is returned
+        for a in (5, np.array([5, -3], dtype=np.int64), np.array([5, -3, 2 ** 70], dtype=object)):
+            with pytest.raises(ValueError, match="q >= 1"):
+                residues(a, q)
+        with pytest.raises(ValueError, match="q >= 1"):
+            product_mod(np.full((2, 1, 1), 5), q)
+
 
 class TestBareissHelpers:
     def test_det_matches_cofactor_expansion(self):

@@ -87,10 +87,10 @@ class TestRunTrial:
         # with uniform mod 2 entries, some trial draws the 1x1 zero matrix,
         # whose cokernel Z shows as Z/2**3 at depth 3
         spec = toy_spec()
-        free = [settled(spec, t, 3) for t in range(20) if settled(spec, t, 3).singular]
+        free = [t for t in range(20) if settled(spec, t, 3).singular]
         assert free, "expected at least one singular draw"
-        rec = free[0]
-        assert rec.partition == (3,) and rec.precision_used == 3
+        assert settled(spec, free[0], 3).partition == (3,)
+        assert run_trial(spec, free[0], 3).precision_used == 3
 
     def test_run_trial_leaves_singularity_unsettled(self):
         # trial 1 draws the zero matrix; run_trial keeps its screen but has
@@ -128,9 +128,8 @@ class TestRunTrial:
 
     def test_rank_checks_follow_unscreened_certificate(self, monkeypatch):
         # a trial gets exact ranks only when some block's determinant
-        # vanishes mod the certificate prime: first the block of smallest
-        # |float64 det|, then, if that one has full rank, the other blocks
-        # whose determinant vanishes mod the prime, in order, up to the
+        # vanishes mod the certificate prime: then its blocks in order of
+        # |float64 det|, smallest first, ties in block order, up to the
         # first singular one
         from cokfluct import experiments
         from cokfluct.ensembles import determinant_blocks
@@ -151,14 +150,11 @@ class TestRunTrial:
                 vanish = [det_bareiss(b) % experiments.CERTIFICATE_PRIME == 0 for b in blocks]
                 expected = []
                 if any(vanish):
-                    first = int(np.argmin(np.abs(np.linalg.det(blocks.astype(np.float64)))))
-                    expected.append(blocks[first])
-                    if rational_rank(blocks[first]) == spec.n:
-                        for b, block in enumerate(blocks):
-                            if b != first and vanish[b]:
-                                expected.append(block)
-                                if rational_rank(block) < spec.n:
-                                    break
+                    dets = np.abs(np.linalg.det(blocks.astype(np.float64)))
+                    for b in sorted(range(len(blocks)), key=lambda b: dets[b]):
+                        expected.append(blocks[b])
+                        if rational_rank(blocks[b]) < spec.n:
+                            break
                 assert [c.tolist() for c in calls] == [e.tolist() for e in expected]
                 assert rec.singular == any(rational_rank(e) < spec.n for e in expected)
                 ranked += len(calls)
@@ -178,7 +174,7 @@ class TestRunTrial:
         assert free == 0 and part
         for depth in (1, 3, 64):
             rec = settled(spec, 0, depth)
-            assert rec.precision_used == depth
+            assert run_trial(spec, 0, depth).precision_used == depth
             assert not rec.singular
             assert rec.partition == truncated_type(part, free, depth)
         assert settled(spec, 0, 64).partition == part
@@ -209,7 +205,7 @@ class TestRunTrialDifferential:
         rec = settled(spec, trial, depth)
         assert rec.partition == truncated_type(part, free, depth)
         assert rec.singular == (free > 0)
-        assert rec.precision_used == depth
+        assert run_trial(spec, trial, depth).precision_used == depth
 
 
 class TestTrialRecords:
@@ -253,9 +249,8 @@ class TestTrialRecords:
     def test_one_block_vanishing_mod_prime_runs_fallback(self, eliminations, ranks):
         # 1x1 factors from {2, 3, 1000003}: a trial has a screen at depth 1
         # when some factor is even, and it vanishes when some factor is the
-        # prime, which is still nonsingular over Q.  The smallest factor is
-        # ranked first; the other two go through the fallback elimination,
-        # and each that is the prime is ranked too
+        # prime, which is still nonsingular over Q.  Every factor has full
+        # rank, so the fallback ranks all three, with no second elimination
         from cokfluct.experiments import CERTIFICATE_PRIME
 
         dist = EntryDistribution.finite_support([(2, 1), (3, 1), (CERTIFICATE_PRIME, 1)])
@@ -266,8 +261,8 @@ class TestTrialRecords:
         assert 0 < len(vanishing) < len(screened)
         records = trial_records(spec, range(30), 1)
         assert not any(r.singular for r in records)
-        assert eliminations == [(len(screened), 1, 1)] + [(2, 1, 1)] * len(vanishing)
-        assert len(ranks) == sum(1 + f.count(CERTIFICATE_PRIME) for f in vanishing)
+        assert eliminations == [(len(screened), 1, 1)]
+        assert len(ranks) == 3 * len(vanishing)
 
     def test_single_block_falls_back_only_on_vanishing_screen(self, eliminations):
         # one 2x2 block with entries in [-2, 2]: |det| <= 8, so an even det
@@ -304,6 +299,27 @@ class TestTrialRecords:
         ensembles._factor_product.cache_clear()
         assert record.partition == (1,) and record.singular
         assert [r.tolist() for r in ranks] == [stack[1].tolist(), stack[0].tolist()]
+
+    def test_overflowing_float_determinants_rank_in_block_order(self, ranks):
+        # 20x20 blocks with entries near +-2**63: every float64 determinant
+        # overflows to +-inf, so the blocks are ranked in block order, and
+        # the answer is still exact rank's, with a repeated row in block 1
+        # and with that row changed to give block 1 full rank
+        from cokfluct.experiments import _has_singular_block
+
+        rng = np.random.default_rng(40)
+        stack = rng.integers(2 ** 62, 2 ** 63 - 1, size=(3, 20, 20), dtype=np.int64)
+        stack *= rng.choice(np.array([-1, 1]), size=stack.shape)
+        stack[1, 7] = stack[1, 3]
+        full = stack.copy()
+        full[1, 7, 0] -= np.sign(full[1, 7, 0])
+        for blocks, singular, checked in ((stack, True, 2), (full, False, 3)):
+            with np.errstate(all="ignore"):
+                assert np.isinf(np.linalg.det(blocks.astype(np.float64))).all()
+            assert [rational_rank(b) < 20 for b in blocks] == [False, singular, False]
+            ranks.clear()
+            assert _has_singular_block(blocks) is singular
+            assert [r.tolist() for r in ranks] == blocks[:checked].tolist()
 
 
 class TestBootstrapPercentile:
