@@ -78,9 +78,6 @@ class RunConfig:
         if "trials" not in d:
             raise ConfigError("config needs a 'trials' count")
 
-        def partition(parts):
-            return as_partition(config_int(x, "partition part") for x in parts)
-
         def typed(key, default, kind, what):
             value = d.get(key, default)
             if not isinstance(value, kind):
@@ -88,11 +85,8 @@ class RunConfig:
             return value
 
         try:
-            groups = tuple(
-                AbelianPGroup(config_int(g["p"], "group p"), partition(g["lambda"]))
-                for g in d.get("groups", [])
-            )
-            lambdas = tuple(partition(lam) for lam in d.get("lambdas", []))
+            groups = tuple(AbelianPGroup(g["p"], g["lambda"]) for g in d.get("groups", []))
+            lambdas = tuple(as_partition(lam) for lam in d.get("lambdas", []))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad groups/lambdas: {exc}") from exc
         worker_budget(1)  # a malformed COKFLUCT_WORKERS is a configuration error

@@ -134,10 +134,10 @@ class EntryDistribution:
 
     @classmethod
     def uniform_mod(cls, m: int) -> "EntryDistribution":
-        if not 1 <= m <= 2 ** 63:
+        if not 1 <= config_int(m, "m") <= 2 ** 63:
             raise ConfigError("uniform_mod needs 1 <= modulus <= 2**63")
         # counted and drawn as uniform_range(0, m - 1), never enumerated
-        return cls(kind="uniform_mod", modulus=int(m), low=0, high=int(m) - 1)
+        return cls(kind="uniform_mod", modulus=m, low=0, high=m - 1)
 
     @classmethod
     def bernoulli(cls, q) -> "EntryDistribution":
@@ -148,14 +148,15 @@ class EntryDistribution:
 
     @classmethod
     def uniform_range(cls, low: int, high: int) -> "EntryDistribution":
+        low, high = config_int(low, "low"), config_int(high, "high")
         if high < low:
             raise ConfigError("uniform_range needs low <= high")
         _require_int64("uniform_range bounds", low, high)
-        return cls(kind="uniform_range", low=int(low), high=int(high))
+        return cls(kind="uniform_range", low=low, high=high)
 
     @classmethod
     def finite_support(cls, pairs) -> "EntryDistribution":
-        cleaned = [(int(v), Fraction(w)) for v, w in pairs]
+        cleaned = [(config_int(v, "support value"), Fraction(w)) for v, w in pairs]
         if not cleaned:
             raise ConfigError("finite_support needs at least one atom")
         if any(w <= 0 for _, w in cleaned):
@@ -169,8 +170,8 @@ class EntryDistribution:
 
     @classmethod
     def constant(cls, value: int) -> "EntryDistribution":
-        _require_int64("constant value", value)
-        return cls(kind="constant", value=int(value))
+        _require_int64("constant value", config_int(value, "value"))
+        return cls(kind="constant", value=value)
 
     # -- exact probability structure --------------------------------------
 
@@ -243,11 +244,11 @@ class EntryDistribution:
         kind = config_object(d, "distribution").get("kind")
         try:
             if kind == "uniform_mod":
-                return cls.uniform_mod(config_int(d["m"], "m"))
+                return cls.uniform_mod(d["m"])
             if kind == "bernoulli":
                 return cls.bernoulli(config_fraction(d["q"], "q"))
             if kind == "uniform_range":
-                return cls.uniform_range(config_int(d["low"], "low"), config_int(d["high"], "high"))
+                return cls.uniform_range(d["low"], d["high"])
             if kind == "finite_support":
                 support = d["support"]
                 if not isinstance(support, list) or not all(
@@ -255,11 +256,10 @@ class EntryDistribution:
                 ):
                     raise ConfigError(f"support must be a list of [value, weight] pairs, got {support!r}")
                 return cls.finite_support(
-                    [(config_int(v, "support value"), config_fraction(w, "support weight"))
-                     for v, w in support]
+                    [(v, config_fraction(w, "support weight")) for v, w in support]
                 )
             if kind == "constant":
-                return cls.constant(config_int(d["value"], "value"))
+                return cls.constant(d["value"])
         except KeyError as exc:
             raise ConfigError(f"distribution {kind!r} missing field {exc}") from exc
         raise ConfigError(f"unknown distribution kind {kind!r}")
@@ -305,9 +305,14 @@ class EnsembleSpec:
             object.__setattr__(self, "block_sizes", sizes)
             if self.B_dist is None:
                 raise ConfigError("block_triangular needs B_dist")
+            if self.n is not None:
+                raise ConfigError(f"block_triangular takes no n, got {self.n!r}")
         else:
             if self.n is None or config_int(self.n, "n") < 1:
                 raise ConfigError(f"{self.kind} needs n >= 1")
+            for field in ("block_sizes", "B_dist"):
+                if getattr(self, field) is not None:
+                    raise ConfigError(f"{self.kind} takes no {field}, got {getattr(self, field)!r}")
         if config_int(self.master_seed, "master_seed") < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not _is_prime(config_int(self.p, "p")):

@@ -11,6 +11,7 @@ oracles and tests compare against.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -49,14 +50,29 @@ def check_target_order(p: int, e: int) -> None:
         raise LatticeGuardError(f"|G| = {p}**{e} exceeds {LATTICE_ORDER_GUARD}")
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int if it is an int or a numpy integer; a bool, float,
+    string or any other value is a ValueError, so nothing is truncated."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
-    lam = tuple(int(x) for x in parts)
-    for i, x in enumerate(lam):
+    """The parts as a tuple of Python ints, checked in one pass: integers
+    (see _integer), positive and weakly decreasing, else ValueError."""
+    lam: list[int] = []
+    for x in parts:
+        x = _integer(x, "partition part")
         if x < 1:
             raise ValueError("partition parts must be positive")
-        if i and lam[i - 1] < x:
+        if lam and lam[-1] < x:
             raise ValueError("partition parts must be weakly decreasing")
-    return lam
+        lam.append(x)
+    return tuple(lam)
 
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
@@ -96,6 +112,7 @@ class AbelianPGroup:
     lam: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "p"))
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         object.__setattr__(self, "lam", as_partition(self.lam))

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .pgroups import AbelianPGroup, _is_prime, as_partition, chain_count, check_target_order, conjugate, ell
+from .pgroups import (
+    AbelianPGroup, _integer, _is_prime, as_partition, chain_count, check_target_order, conjugate, ell,
+)
 
 __all__ = [
     "FluctuationParams",
@@ -35,6 +37,8 @@ class FluctuationParams:
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "p"))
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 0 <= self.zeta < 1:

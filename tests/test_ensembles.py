@@ -144,6 +144,28 @@ class TestEntryDistribution:
         ):
             assert EntryDistribution.from_dict(d.to_dict()) == d
 
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: EntryDistribution.uniform_mod(2.5), "m"),
+            (lambda: EntryDistribution.uniform_mod(np.int64(4)), "m"),
+            (lambda: EntryDistribution.uniform_range(0.5, 3), "low"),
+            (lambda: EntryDistribution.uniform_range(0, 3.7), "high"),
+            (lambda: EntryDistribution.uniform_range(True, 3), "low"),
+            (lambda: EntryDistribution.constant(2.9), "value"),
+            (lambda: EntryDistribution.finite_support([(0, 1), (1.5, 1)]), "support value"),
+            (lambda: EntryDistribution.finite_support([(0, 1), ("1", 1)]), "support value"),
+        ],
+        ids=[
+            "uniform_mod-2.5", "uniform_mod-int64", "low-0.5", "high-3.7", "low-True", "constant-2.9",
+            "support-1.5", "support-str",
+        ],
+    )
+    def test_non_integer_parameter_rejected(self, build, name):
+        # the constructors check what from_dict checks: nothing is truncated
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            build()
+
 
 class TestEnsembleSpecValidation:
     def test_unbalanced_A_rejected(self):
@@ -184,6 +206,30 @@ class TestEnsembleSpecValidation:
         make()
         with pytest.raises(ConfigError, match=f"{field}.* must be an integer"):
             make(**{field: value})
+
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            ("block_triangular", "n", 7),
+            ("matrix_product", "block_sizes", (2, 2)),
+            ("matrix_product", "B_dist", EntryDistribution.uniform_range(-9, 9)),
+            ("bidiagonal_embedding", "block_sizes", (2.5,)),
+            ("bidiagonal_embedding", "B_dist", "junk"),
+        ],
+    )
+    def test_field_of_other_kind_rejected(self, kind, field, value):
+        # a spec keeps only its kind's fields, so to_dict never writes or
+        # fails on a foreign one; the nulls it writes still round-trip
+        make = block_spec if kind == "block_triangular" else functools.partial(
+            EnsembleSpec, p=2, kind=kind, k=2, n=3, A_dist=EntryDistribution.uniform_mod(2), master_seed=1,
+        )
+        raw = make().to_dict()
+        assert raw[field] is None and EnsembleSpec.from_dict(raw) == make()
+        with pytest.raises(ConfigError, match=f"{kind} takes no {field}"):
+            make(**{field: value})
+        if field == "n":
+            with pytest.raises(ConfigError, match=f"{kind} takes no {field}"):
+                EnsembleSpec.from_dict({**raw, field: value})
 
     def test_b_dist_unconstrained(self):
         block_spec(B_dist=EntryDistribution.constant(0))

@@ -138,6 +138,26 @@ class TestSnfDiagonal:
             rows = random_elementary_ops(rng, rows, rng.randint(1, 20), "col")
             assert snf_diagonal(rows) == snf_diagonal(m)
 
+    @pytest.mark.parametrize("n,bound,singular", [(32, 100, True), (40, 9, False)])
+    def test_large_matrix_invariants(self, n, bound, singular):
+        # sizes no cofactor oracle reaches: chain, |det| and rank by Bareiss,
+        # and invariance under unimodular row and column operations
+        rng = random.Random(n)
+        m = random_int_matrix(rng, n, -bound, bound)
+        if singular:
+            m[-1] = [sum(c * row[j] for c, row in zip((3, -2, 5), m)) for j in range(n)]
+        diag = snf_diagonal(m)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0 if a else b == 0
+        det = det_bareiss(m)
+        assert (det == 0) == singular
+        if det:
+            assert functools.reduce(operator.mul, diag) == abs(det)
+        assert sum(1 for d in diag if d) == rational_rank(m) == n - singular
+        rows = random_elementary_ops(rng, m, 40, "row")
+        rows = random_elementary_ops(rng, rows, 40, "col")
+        assert snf_diagonal(rows) == diag
+
 
 class TestInputForms:
     EXACT = (

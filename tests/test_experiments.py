@@ -484,6 +484,11 @@ class TestRunExperiment:
         assert rep.centered_counts == {}
         assert math.isnan(rep.hom_moments[Z2.label()].mean)
 
+    def test_non_integer_lambda_rejected(self):
+        # (1.5,) is not run as lambda = (1)
+        with pytest.raises(ValueError, match="partition part must be an integer, got 1.5"):
+            run_experiment(toy_spec(), 0, [Z2], [(1.5,)], d=1)
+
     def test_counts_add_up(self):
         rep = run_experiment(toy_spec(), 500, [Z2], [(1,)], d=1)
         assert rep.included_count + rep.free_rank_count + rep.saturated_count == 500

@@ -1,6 +1,8 @@
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +64,27 @@ class TestConjugate:
             as_partition((1, 2))
         with pytest.raises(ValueError):
             as_partition((2, 0))
+
+    @pytest.mark.parametrize("part", [1.5, 2.0, "2", True, None])
+    def test_rejects_non_integer_part(self, part):
+        # nothing is truncated: (1.5,) is not the partition (1)
+        with pytest.raises(ValueError, match=f"partition part must be an integer, got {re.escape(repr(part))}"):
+            as_partition((part,))
+        with pytest.raises(ValueError, match="partition part must be an integer"):
+            AbelianPGroup(2, (3, part))
+
+    def test_numpy_integer_parts_become_ints(self):
+        lam = as_partition(np.array([3, 1, 1]))
+        assert lam == (3, 1, 1) and all(type(x) is int for x in lam)
+        assert AbelianPGroup(np.int64(3), np.array([2])).order == 9
+
+
+class TestAbelianPGroup:
+    @pytest.mark.parametrize("p", [2.0, True, "2"])
+    def test_prime_must_be_integer(self, p):
+        # AbelianPGroup(2.0, (1,)) would have order 2.0
+        with pytest.raises(ValueError, match="p must be an integer"):
+            AbelianPGroup(p, (1,))
 
 
 class TestHomCount:

@@ -134,3 +134,8 @@ class TestFluctuationParams:
             FluctuationParams(2, -0.1, 1)
         with pytest.raises(ValueError):
             FluctuationParams(2, 1.0, 1)
+
+    @pytest.mark.parametrize("p,d,field", [(2, 2.5, "d"), (2, True, "d"), (2.0, 1, "p"), ("3", 1, "p")])
+    def test_non_integer_p_or_d_rejected(self, p, d, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FluctuationParams(p, 0.0, d)
