@@ -32,7 +32,10 @@ modulus q (`residues`): a bit mask when q is a power of two, `%`
 otherwise.  product_mod multiplies a stack of square matrices mod q by a
 pairwise tree of np.matmul calls, and dets_vanish_mod tells which
 determinants of a stack vanish mod a word-size prime by one elimination
-of the whole stack.
+of the whole stack.  has_kernel_vector lets a float SVD propose an
+integer kernel vector of a square matrix and checks it exactly, in int64
+while max|m| sum|v| < 2**63 and in Python ints past it, so only a checked
+vector proves singularity.
 """
 
 from __future__ import annotations
@@ -235,6 +238,48 @@ def det_bareiss(m) -> int:
 def rational_rank(m) -> int:
     """Rank over Q by fraction-free (Bareiss) elimination."""
     return _bareiss(_int_rows(m))[0]
+
+
+KERNEL_DENOMINATOR = 64  # largest d tried to clear the denominators of a float kernel vector
+KERNEL_TOLERANCE = 1e-6  # how far from an integer an entry of d x may lie
+
+
+def has_kernel_vector(m) -> bool:
+    """Whether a float SVD proposes an integer v != 0 with m v = 0 or
+    v^T m = 0 that checks exactly: True proves rank < n for a square
+    integer matrix m over Q; False proves nothing.
+
+    The right and the left singular vector of the least singular value are
+    each scaled by their largest entry (so v != 0), and the least
+    d <= KERNEL_DENOMINATOR that brings every entry of d x within
+    KERNEL_TOLERANCE of an integer gives v = rint(d x).  m v (or m^T v) is
+    then computed exactly: in int64 when max|m| sum|v| < 2**63 bounds every
+    partial sum, in Python ints otherwise.  No such d, a non-finite vector
+    or an SVD that does not converge gives False."""
+    a = np.asarray(m)
+    try:
+        u, _, vh = np.linalg.svd(a.astype(np.float64))
+    except np.linalg.LinAlgError:
+        return False
+    bound = max(int(a.max()), -int(a.min()))
+    return any(_annihilates(b, x, bound) for b, x in ((a, vh[-1]), (a.T, u[:, -1])))
+
+
+def _annihilates(a: np.ndarray, x: np.ndarray, bound: int) -> bool:
+    """Whether the integer vector that x proposes (see has_kernel_vector)
+    exists and a v = 0 exactly; `bound` is max|a|."""
+    x = x / x[np.argmax(np.abs(x))]
+    if not np.isfinite(x).all():
+        return False
+    scaled = np.arange(1, KERNEL_DENOMINATOR + 1)[:, None] * x
+    near = (np.abs(scaled - np.rint(scaled)) <= KERNEL_TOLERANCE).all(axis=1)
+    if not near.any():
+        return False
+    v = np.rint(scaled[near.argmax()]).astype(np.int64)
+    if bound * int(np.abs(v).sum()) < 2 ** 63:
+        return not (a @ v).any()
+    v = v.tolist()
+    return all(sum(e * c for e, c in zip(row, v)) == 0 for row in _int_rows(a))
 
 
 def dets_vanish_mod(blocks, prime: int) -> np.ndarray:

@@ -16,14 +16,18 @@ of its determinant blocks mod a word-size prime (a product trial reads it
 off the factor product it has just formed); trial_records then settles a
 chunk of trials with one batched determinant of all their screens mod
 that prime.  Only a trial whose screen vanishes is redrawn for the exact
-check: exact rational rank of its blocks, smallest |float64 det| first, up
-to the first singular one.
+check, block by block, smallest |float64 det| first, up to the first
+singular one: an integer kernel vector that a float SVD proposes and an
+exact product checks (blocks of at least KERNEL_VECTOR_ROWS rows), else
+exact rational rank.
 
 Aggregation yields empirical rescaled Hom-moments, moments of the centered
 rank vector, and the centered-vector histogram, with bootstrap percentile
 confidence intervals (1000 resamples; np.percentile's default rule, taken
 by hand because np.percentile imports numpy.ma) and theory targets
-attached.
+attached.  A run has far fewer cokernel types than trials, so every
+statistic is computed once per type (or per centered vector) and looked up
+per trial.
 Everything is a pure function of the spec and its master seed: identical
 reports regardless of worker count or trial order.
 """
@@ -42,6 +46,7 @@ import numpy as np
 
 from .exact_linalg import (
     dets_vanish_mod,
+    has_kernel_vector,
     padic_valuations,
     rational_rank,
     streaming_block_eliminate,
@@ -97,6 +102,7 @@ WORKERS_ENV_VAR = "COKFLUCT_WORKERS"
 BOOTSTRAP_TAG = 0xB007
 BOOTSTRAP_RESAMPLES = 1000
 SETTLE_CHUNK = 256  # trials settled together: at most this many screens are stacked
+KERNEL_VECTOR_ROWS = 16  # blocks this large try a checked kernel vector before exact rank
 
 
 @dataclass(frozen=True)
@@ -176,27 +182,52 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
+        """The report a to_dict() wrote, every field checked: counts are
+        non-negative integers, the histogram counts sum to counts.included,
+        included + free_rank = trials, and nothing is saturated."""
         counts = config_object(d["counts"], "counts")
-        if config_int(counts["saturated"], "counts.saturated") != cls.saturated_count:
+        if _report_count(counts["saturated"], "counts.saturated") != cls.saturated_count:
             raise ConfigError(f"counts.saturated must be {cls.saturated_count}, got {counts['saturated']}")
-        return cls(
+        if not isinstance(d["generator"], str):
+            raise ConfigError(f"generator must be a string, got {d['generator']!r}")
+        report = cls(
             spec=EnsembleSpec.from_dict(d["spec"]),
-            trials=config_int(d["trials"], "trials"),
+            trials=_report_count(d["trials"], "trials"),
             d=config_int(d["d"], "d"),
             zeta=config_number(d["zeta"], "zeta"),
             center=config_int(d["center"], "center"),
-            included_count=config_int(counts["included"], "counts.included"),
-            free_rank_count=config_int(counts["free_rank"], "counts.free_rank"),
+            included_count=_report_count(counts["included"], "counts.included"),
+            free_rank_count=_report_count(counts["free_rank"], "counts.free_rank"),
             hom_moments=_moments_from_dict(d["hom_moments"], "hom_moments"),
             l_moments=_moments_from_dict(d["l_moments"], "l_moments"),
             centered_counts={
-                _parse_vector_label(k): config_int(
+                _parse_vector_label(k): _report_count(
                     config_object(v, f"centered_histogram.{k}")["count"], f"centered_histogram.{k}.count"
                 )
                 for k, v in config_object(d["centered_histogram"], "centered_histogram").items()
             },
             generator=d["generator"],
         )
+        if report.included_count + report.free_rank_count != report.trials:
+            raise ConfigError(
+                f"counts.included + counts.free_rank must equal trials ({report.trials}), "
+                f"got {report.included_count} + {report.free_rank_count}"
+            )
+        histogram_total = sum(report.centered_counts.values())
+        if histogram_total != report.included_count:
+            raise ConfigError(
+                f"centered_histogram counts must sum to counts.included ({report.included_count}), "
+                f"got {histogram_total}"
+            )
+        return report
+
+
+def _report_count(value, name: str) -> int:
+    """`value` if it is a non-negative JSON integer, else a ConfigError."""
+    count = config_int(value, name)
+    if count < 0:
+        raise ConfigError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 def _moment_dict(m: MomentEstimate) -> dict:
@@ -211,14 +242,14 @@ def _moment_dict(m: MomentEstimate) -> dict:
 def _moments_from_dict(section, key: str) -> dict[str, MomentEstimate]:
     """A report's moment section, every entry checked: numbers for the mean,
     CI and target (null for the mean and CI when the count is 0, read as
-    NaN), an integer count, and no other key."""
+    NaN), a non-negative integer count, and no other key."""
     numbers = ("mean", "ci_low", "ci_high", "target")
     moments = {}
     for name, v in config_object(section, key).items():
         where = f"{key}.{name}"
         if set(config_object(v, where)) != {*numbers, "count"}:
             raise ConfigError(f"{where} must have exactly the keys {', '.join(numbers)}, count")
-        count = config_int(v["count"], f"{where}.count")
+        count = _report_count(v["count"], f"{where}.count")
         moments[name] = MomentEstimate(
             *(
                 math.nan if v[f] is None and count == 0 and f != "target" else config_number(v[f], f"{where}.{f}")
@@ -277,7 +308,7 @@ def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list
     product of the determinants of determinant_blocks and GF(prime) is a
     field, so a nonzero screen determinant makes the trial nonsingular.  A
     trial whose screen vanishes redraws its blocks, and _has_singular_block
-    settles it by exact rational rank alone, with no second screen."""
+    settles it exactly, with no second screen."""
     unsettled = [run_trial(spec, t, depth) for t in trials]
     screened = [i for i, u in enumerate(unsettled) if u.screen is not None]
     vanishing = np.zeros(len(unsettled), dtype=bool)
@@ -294,14 +325,21 @@ def trial_records(spec: EnsembleSpec, trials: Sequence[int], depth: int) -> list
 def _has_singular_block(blocks: np.ndarray) -> bool:
     """Whether a (b, m, m) integer stack has a block of rank < m over Q.
 
-    Exact rational rank is checked block by block, up to the first singular
-    one, in order of |float64 determinant|, smallest (likeliest singular)
-    first, ties (overflowed infinities among them) in block order.  The
-    float determinant only orders the checks; every answer is
-    rational_rank's."""
+    The blocks are settled one by one, up to the first singular one, in
+    order of |float64 determinant|, smallest (likeliest singular) first,
+    ties (overflowed infinities among them) in block order.  A block of at
+    least KERNEL_VECTOR_ROWS rows is singular when has_kernel_vector checks
+    an integer kernel vector exactly; otherwise, and for smaller blocks,
+    where exact rank is the cheaper of the two, rational_rank decides.
+    Floats only order the blocks and propose vectors: a singular answer is
+    an exact integer identity, and a nonsingular one is rational_rank's."""
+    m = blocks.shape[1]
     with np.errstate(all="ignore"):  # entries near 2**63 overflow the float determinant
         order = np.argsort(np.abs(np.linalg.det(blocks.astype(np.float64))), kind="stable")
-    return any(rational_rank(blocks[b]) < blocks.shape[1] for b in order)
+    return any(
+        (m >= KERNEL_VECTOR_ROWS and has_kernel_vector(blocks[b])) or rational_rank(blocks[b]) < m
+        for b in order
+    )
 
 
 def worker_budget(workers: int) -> int:
@@ -356,7 +394,7 @@ def _collect_records(spec: EnsembleSpec, trials: int, depth: int, workers: int) 
 
 def hom_moment_of_trial(partition: Sequence[int], free_rank: int, G: AbelianPGroup) -> int:
     """|Hom(Gamma (+) Z**free_rank, G)| for a trial of type `partition`."""
-    return hom_count(as_partition(partition), G.lam, G.p) * G.order ** free_rank
+    return hom_count(partition, G.lam, G.p) * G.order ** free_rank
 
 
 def validate_run(
@@ -425,13 +463,20 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
-def _estimate(values: list[Fraction], target, rng: np.random.Generator) -> MomentEstimate:
-    """Exact mean of `values` with a bootstrap percentile CI of their float
-    images; NaNs, and no draw from rng, when there are no values."""
-    if not values:
+def _estimate(keys: Sequence, value, target, rng: np.random.Generator) -> MomentEstimate:
+    """Exact mean of value(key) over the trials' keys, with a bootstrap
+    percentile CI of the float images in trial order; NaNs, and no draw from
+    rng, when there are no keys.  value runs once per distinct key, and the
+    mean is the Fraction sum of count * value over them, divided by the
+    number of trials."""
+    if not keys:
         return MomentEstimate(float("nan"), float("nan"), float("nan"), float(target), 0)
-    lo, hi = _bootstrap_ci(np.array([float(x) for x in values]), rng)
-    return MomentEstimate(float(sum(values) / len(values)), lo, hi, float(target), len(values))
+    counts = Counter(keys)
+    exact = {key: value(key) for key in counts}
+    mean = sum(c * exact[key] for key, c in counts.items()) / len(keys)
+    floats = {key: float(x) for key, x in exact.items()}
+    lo, hi = _bootstrap_ci(np.array([floats[key] for key in keys]), rng)
+    return MomentEstimate(float(mean), lo, hi, float(target), len(keys))
 
 
 def run_experiment(
@@ -458,14 +503,17 @@ def run_experiment(
     params = FluctuationParams(spec.p, zeta, d)
 
     records = _collect_records(spec, trials, working_depth(d, G_list), workers)
-    finite = [r for r in records if not r.singular]
+    partitions = [r.partition for r in records]
+    finite = [r.partition for r in records if not r.singular]
     center = centering(spec.k, params)
-    vectors = [centered_rank_vector(r.partition, spec.k, params) for r in finite]
+    vector_of = {part: centered_rank_vector(part, spec.k, params) for part in set(finite)}
+    vectors = [vector_of[part] for part in finite]
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.master_seed, BOOTSTRAP_TAG]))
     hom_moments = {
         G.label(): _estimate(
-            [Fraction(hom_moment_of_trial(r.partition, 0, G), spec.k ** ell(G)) for r in records],
+            partitions,
+            lambda part: Fraction(hom_moment_of_trial(part, 0, G), spec.k ** ell(G)),
             limit_rescaled_hom_moment(G),
             rng,
         )
@@ -473,7 +521,8 @@ def run_experiment(
     }
     l_moments = {
         _vector_label(lam): _estimate(
-            [Fraction(spec.p) ** sum(c * l for c, l in zip(vec, lam)) for vec in vectors],
+            vectors,
+            lambda vec: Fraction(spec.p) ** sum(c * l for c, l in zip(vec, lam)),
             L_moment(lam, params).value,
             rng,
         )

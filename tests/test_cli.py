@@ -439,8 +439,20 @@ class TestCompare:
             (("l_moments", "(1)", "mean"), "x", "mean must be a number"),
             (("l_moments", "(1)", "count"), "many", "count must be an integer"),
             (("zeta",), "0.0", "zeta must be a number"),
+            # impossible counts: the 20 trials are all included, 8 of them in (0)
+            (("centered_histogram", "(0)", "count"), -7, "count must be non-negative"),
+            (("centered_histogram", "(0)", "count"), 9, "must sum to counts.included (20), got 21"),
+            (("counts", "included"), -3, "counts.included must be non-negative"),
+            (("counts", "free_rank"), 1, "must equal trials (20), got 20 + 1"),
+            (("trials",), -20, "trials must be non-negative"),
+            (("l_moments", "(1)", "count"), -1, "count must be non-negative"),
+            (("generator",), 5, "generator must be a string"),
         ],
-        ids=["count-1.5", "count-string", "count-true", "mean-string", "moment-count-string", "zeta-string"],
+        ids=[
+            "count-1.5", "count-string", "count-true", "mean-string", "moment-count-string", "zeta-string",
+            "count-negative", "histogram-sum", "included-negative", "counts-sum", "trials-negative",
+            "moment-count-negative", "generator-int",
+        ],
     )
     def test_malformed_report_field_exits_2(self, tmp_path, path, value, message):
         runner = CliRunner()

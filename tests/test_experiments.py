@@ -302,9 +302,10 @@ class TestTrialRecords:
 
     def test_overflowing_float_determinants_rank_in_block_order(self, ranks):
         # 20x20 blocks with entries near +-2**63: every float64 determinant
-        # overflows to +-inf, so the blocks are ranked in block order, and
-        # the answer is still exact rank's, with a repeated row in block 1
-        # and with that row changed to give block 1 full rank
+        # overflows to +-inf, so the blocks are settled in block order.  With
+        # a repeated row in block 1, block 0 is ranked and block 1 is settled
+        # by its kernel vector e_3 - e_7, checked in Python ints; with that
+        # row changed to give block 1 full rank, exact rank settles all three
         from cokfluct.experiments import _has_singular_block
 
         rng = np.random.default_rng(40)
@@ -313,13 +314,90 @@ class TestTrialRecords:
         stack[1, 7] = stack[1, 3]
         full = stack.copy()
         full[1, 7, 0] -= np.sign(full[1, 7, 0])
-        for blocks, singular, checked in ((stack, True, 2), (full, False, 3)):
+        for blocks, singular, checked in ((stack, True, 1), (full, False, 3)):
             with np.errstate(all="ignore"):
                 assert np.isinf(np.linalg.det(blocks.astype(np.float64))).all()
             assert [rational_rank(b) < 20 for b in blocks] == [False, singular, False]
             ranks.clear()
             assert _has_singular_block(blocks) is singular
             assert [r.tolist() for r in ranks] == blocks[:checked].tolist()
+
+
+class TestHasSingularBlock:
+    """The singularity rule against exact rank on adversarial stacks."""
+
+    @staticmethod
+    def stacks(seed=2025):
+        """(kind, stack, changed block) of three m x m blocks, m = 1..24.
+        Each kind but the first changes one block: 0/1 entries (often
+        singular when small); a repeated row; columns 71 w and 67 w, whose
+        primitive kernel vector (67, -71, 0, ...) needs a denominator above
+        64; a repeated row with entries near +-2**62, past the int64 check;
+        and a nonsingular block whose determinant is 1000003."""
+        rng = np.random.default_rng(seed)
+        for m in range(1, 25):
+            yield "bits", rng.integers(0, 2, size=(3, m, m)), None
+            for kind in ("repeated", "coprime", "huge", "prime"):
+                if kind == "huge":
+                    stack = rng.integers(2 ** 62, 2 ** 63 - 1, size=(3, m, m), dtype=np.int64)
+                    stack *= rng.choice(np.array([-1, 1]), size=stack.shape)
+                else:
+                    stack = rng.integers(-9, 10, size=(3, m, m))
+                changed = int(rng.integers(3))
+                block = stack[changed]
+                i, j = rng.choice(m, size=2, replace=False) if m > 1 else (0, 0)
+                if kind in ("repeated", "huge") and m > 1:
+                    block[i] = block[j]
+                elif kind == "coprime" and m > 1:
+                    w = rng.integers(-9, 10, size=m)
+                    block[:, i], block[:, j] = 71 * w, 67 * w
+                elif kind == "prime":
+                    lower = np.tril(rng.integers(-2, 3, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+                    upper = np.triu(rng.integers(-2, 3, size=(m, m)), 1) + np.eye(m, dtype=np.int64)
+                    upper[0] *= 1000003
+                    block[:] = lower @ upper
+                yield kind, stack, changed
+
+    def test_matches_exact_rank(self, monkeypatch):
+        # every answer is exact rank's; from KERNEL_VECTOR_ROWS rows a
+        # checked vector settles the repeated rows (in int64, and in Python
+        # ints near 2**62), and exact rank the coprime columns and the
+        # determinant 1000003
+        from cokfluct import exact_linalg, experiments
+        from cokfluct.exact_linalg import det_bareiss
+        from cokfluct.experiments import CERTIFICATE_PRIME, KERNEL_VECTOR_ROWS, _has_singular_block
+
+        ranks, proofs, python_ints = [], [], []
+        int_rows = exact_linalg._int_rows
+        monkeypatch.setattr(exact_linalg, "_int_rows", lambda a: python_ints.append(a) or int_rows(a))
+
+        def certificate(block):
+            python_ints.clear()
+            found = exact_linalg.has_kernel_vector(block)
+            if found:
+                proofs.append("python" if python_ints else "int64")
+            return found
+
+        monkeypatch.setattr(experiments, "has_kernel_vector", certificate)
+        monkeypatch.setattr(experiments, "rational_rank", lambda a: ranks.append(a) or rational_rank(a))
+        decided = Counter()  # (kind, how) of every singular stack at or above the cut
+        for kind, stack, changed in self.stacks():
+            m = stack.shape[1]
+            ranks.clear()
+            proofs.clear()
+            singular = _has_singular_block(stack)
+            assert singular == any(rational_rank(b) < m for b in stack), (kind, m)
+            if singular and m >= KERNEL_VECTOR_ROWS:
+                decided[kind, proofs[0] if proofs else "rank"] += 1
+            if kind == "prime":
+                block = stack[changed]
+                assert det_bareiss(block) == CERTIFICATE_PRIME
+                ranks.clear()
+                assert not _has_singular_block(block[None])
+                assert [r.tolist() for r in ranks] == [block.tolist()]
+        above_cut = 24 - KERNEL_VECTOR_ROWS + 1
+        assert decided["repeated", "int64"] == decided["huge", "python"] == above_cut
+        assert decided["coprime", "rank"] == above_cut
 
 
 class TestBootstrapPercentile:
@@ -503,6 +581,28 @@ class TestRunExperiment:
         assert est.mean == pytest.approx(1.5, abs=0.01)
         assert est.ci_low < 1.5 < est.ci_high
         assert est.count == 100000
+
+    def test_statistics_once_per_type(self, monkeypatch):
+        # 300 trials of a 2x2 product fall into a handful of types: Hom
+        # counts run once per (type, group), centered rank vectors once per
+        # nonsingular type, and the report is the per-trial one
+        from cokfluct import experiments
+
+        spec = toy_spec(k=2, n=2, A_dist=EntryDistribution.uniform_range(-3, 3), master_seed=779)
+        groups = [Z2, Z4, AbelianPGroup(2, (1, 1))]
+        records = experiments._collect_records(spec, 300, 3, 1)
+        types = {r.partition for r in records}
+        finite = {r.partition for r in records if not r.singular}
+        assert len(types) < 20 and any(r.singular for r in records)
+        counted = Counter()
+        for name in ("hom_count", "centered_rank_vector"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, real=real, name=name: counted.update([name]) or real(*a))
+        rep = run_experiment(spec, 300, groups, [(1,), (1, 1)], d=3)
+        assert counted == {"hom_count": len(types) * len(groups), "centered_rank_vector": len(finite)}
+        for G in groups:
+            values = [Fraction(hom_moment_of_trial(r.partition, 0, G), 2 ** sum(G.lam)) for r in records]
+            assert rep.hom_moments[G.label()].mean == float(sum(values) / len(values))
 
     def test_determinism_across_runs_and_workers(self):
         spec = toy_spec(master_seed=777)
