@@ -447,11 +447,13 @@ class TestCompare:
             (("trials",), -20, "trials must be non-negative"),
             (("l_moments", "(1)", "count"), -1, "count must be non-negative"),
             (("generator",), 5, "generator must be a string"),
+            (("l_moments", "(1)", "count"), 5, "l_moments.(1).count must be 20, got 5"),
+            (("hom_moments", "2:(1)", "count"), 21, "hom_moments.2:(1).count must be 20, got 21"),
         ],
         ids=[
             "count-1.5", "count-string", "count-true", "mean-string", "moment-count-string", "zeta-string",
             "count-negative", "histogram-sum", "included-negative", "counts-sum", "trials-negative",
-            "moment-count-negative", "generator-int",
+            "moment-count-negative", "generator-int", "l-moment-count", "hom-moment-count",
         ],
     )
     def test_malformed_report_field_exits_2(self, tmp_path, path, value, message):

@@ -127,17 +127,23 @@ class TestRunTrial:
         assert not draw_integers(spec, 9).flags.writeable
 
     def test_rank_checks_follow_unscreened_certificate(self, monkeypatch):
-        # a trial gets exact ranks only when some block's determinant
+        # a trial gets exact checks only when some block's determinant
         # vanishes mod the certificate prime: then its blocks in order of
         # |float64 det|, smallest first, ties in block order, up to the
-        # first singular one
-        from cokfluct import experiments
+        # first singular one; a 10x10 block tries a kernel vector before
+        # exact rank
+        from cokfluct import exact_linalg, experiments
         from cokfluct.ensembles import determinant_blocks
         from cokfluct.exact_linalg import det_bareiss
 
+        assert experiments.KERNEL_VECTOR_ROWS <= 10
+        has_kernel_vector = exact_linalg.has_kernel_vector
         calls = []
-        monkeypatch.setattr(experiments, "rational_rank", lambda m: calls.append(m) or rational_rank(m))
-        ranked = screened = 0
+        monkeypatch.setattr(experiments, "rational_rank", lambda m: calls.append(("rank", m)) or rational_rank(m))
+        monkeypatch.setattr(
+            experiments, "has_kernel_vector", lambda m: calls.append(("vector", m)) or has_kernel_vector(m)
+        )
+        vectors = ranked = screened = 0
         for dist, seed in ((EntryDistribution.uniform_mod(2), 606), (EntryDistribution.uniform_range(-3, 3), 607)):
             spec = toy_spec(k=40, n=10, A_dist=dist, master_seed=seed)
             for trial in range(20):
@@ -152,14 +158,18 @@ class TestRunTrial:
                 if any(vanish):
                     dets = np.abs(np.linalg.det(blocks.astype(np.float64)))
                     for b in sorted(range(len(blocks)), key=lambda b: dets[b]):
-                        expected.append(blocks[b])
+                        expected.append(("vector", blocks[b]))
+                        if has_kernel_vector(blocks[b]):
+                            vectors += 1
+                            break
+                        expected.append(("rank", blocks[b]))
                         if rational_rank(blocks[b]) < spec.n:
                             break
-                assert [c.tolist() for c in calls] == [e.tolist() for e in expected]
-                assert rec.singular == any(rational_rank(e) < spec.n for e in expected)
-                ranked += len(calls)
+                assert [(how, c.tolist()) for how, c in calls] == [(how, e.tolist()) for how, e in expected]
+                assert rec.singular == any(rational_rank(e) < spec.n for _, e in expected)
+                ranked += sum(how == "rank" for how, _ in calls)
                 screened += not calls
-        assert ranked and screened, "expected both rank checks and screened trials"
+        assert vectors and ranked and screened, "expected kernel vectors, rank checks and screened trials"
 
     def test_block_trial(self):
         # exact SNF truncated at the working depth, and in full at a depth
