@@ -34,7 +34,6 @@ from .experiments import (
     trial_records,
 )
 from .oracles import (
-    FiniteSupportMatrixLaw,
     verify_balanced_sums,
     verify_chain_claim,
     verify_cok_identity,

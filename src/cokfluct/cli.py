@@ -48,11 +48,9 @@ class RunConfig:
     reproducible: bool = False
 
     def __post_init__(self):
-        if self.trials < 0:
-            raise ConfigError(f"trials must be >= 0, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        validate_run(self.ensemble.p, self.groups, self.lambdas, self.d, self.zeta)
+        validate_run(self.ensemble.p, self.trials, self.groups, self.lambdas, self.d, self.zeta)
 
     def to_dict(self) -> dict:
         return {

@@ -410,15 +410,19 @@ def hom_moment_of_trial(partition: Sequence[int], free_rank: int, G: AbelianPGro
 
 def validate_run(
     p: int,
+    trials: int,
     G_list: Sequence[AbelianPGroup],
     lam_list: Sequence[Sequence[int]],
     d: int,
     zeta: float,
 ) -> None:
-    """Raise ConfigError unless d >= 1, zeta lies in [0, 1), every group is
-    a p-group, every lambda has at most d parts, and every target's group
-    (G, or the group of type lambda' and order p**|lambda|) is within the
-    order bound of pgroups.chain_count."""
+    """Raise ConfigError unless trials is an integer >= 0 (not a bool),
+    d >= 1, zeta lies in [0, 1), every group is a p-group, every lambda has
+    at most d parts, and every target's group (G, or the group of type
+    lambda' and order p**|lambda|) is within the order bound of
+    pgroups.chain_count."""
+    if config_int(trials, "trials") < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
     try:
         FluctuationParams(p, zeta, d)
     except ValueError as exc:
@@ -510,7 +514,7 @@ def run_experiment(
     pure function of the configuration.
     """
     lam_list = [as_partition(lam) for lam in lam_list]
-    validate_run(spec.p, G_list, lam_list, d, zeta)
+    validate_run(spec.p, trials, G_list, lam_list, d, zeta)
     params = FluctuationParams(spec.p, zeta, d)
 
     records = _collect_records(spec, trials, working_depth(d, G_list), workers)

@@ -7,6 +7,11 @@ embedding/product cokernel identity, the w/t statistics of block-split
 vectors, the chain-growth inequality t <= ell(G)(1 + w), and the multichain
 count |{H : w=0, t=i}| = c(G, i) * C(k, i) with the matching probability sum.
 
+Every verifier takes the entry law as an ensembles.EntryDistribution, the
+type a config names.  Each enumeration guard bounds the matrices, or the
+vectors times the law's atoms, that a verifier walks; atoms are counted
+before any is listed, so a law such as uniform_mod(2**63) is refused.
+
 SUITES holds the fixed-input check suites that `cokfluct verify` prints and
 the acceptance tests assert.
 """
@@ -17,17 +22,17 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import build_bidiagonal_embedding
+from .ensembles import UNIFORM_KINDS, EntryDistribution, build_bidiagonal_embedding
 from .exact_linalg import cokernel_partition, snf_diagonal
 from .experiments import hom_moment_of_trial
 from .pgroups import (
     AbelianPGroup,
+    _subpartitions,
     chain_count,
     ell,
     enumerate_subgroups,
@@ -35,7 +40,6 @@ from .pgroups import (
 )
 
 __all__ = [
-    "FiniteSupportMatrixLaw",
     "EnumerationGuardError",
     "MomentIdentityResult",
     "BalancedSumsResult",
@@ -62,31 +66,12 @@ class EnumerationGuardError(ValueError):
     """Requested enumeration exceeds the feasibility guard."""
 
 
-@dataclass(frozen=True)
-class FiniteSupportMatrixLaw:
-    """Random integer matrix with iid entries drawn from a finite support of
-    (value, exact probability) atoms summing to 1."""
-
-    rows: int
-    cols: int
-    support: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("law dimensions must be positive")
-        support = tuple((int(v), Fraction(w)) for v, w in self.support)
-        if sum(w for _, w in support) != 1:
-            raise ValueError("support probabilities must sum to exactly 1")
-        if any(w <= 0 for _, w in support):
-            raise ValueError("support probabilities must be positive")
-        object.__setattr__(self, "support", support)
-
-    def entry_epsilon(self, p: int) -> Fraction:
-        """Largest eps with P(X = r mod p) <= 1 - eps for all residues r."""
-        probs = [Fraction(0)] * p
-        for v, w in self.support:
-            probs[v % p] += w
-        return 1 - max(probs)
+def _atom_count(dist: EntryDistribution) -> int:
+    """Number of atoms of the law, counted without listing them: a uniform
+    kind has high - low + 1, so a guard can refuse uniform_mod(2**63)."""
+    if dist.kind in UNIFORM_KINDS:
+        return dist.high - dist.low + 1
+    return len(dist.support_pairs())
 
 
 def _dot_distribution(G: AbelianPGroup, g: Sequence, support) -> dict:
@@ -115,20 +100,24 @@ class MomentIdentityResult(NamedTuple):
     equal: bool
 
 
-def verify_moment_identity(law: FiniteSupportMatrixLaw, G: AbelianPGroup) -> MomentIdentityResult:
-    """E|Hom(cok(M), G)| versus sum over g in G**n of P(Mg = 0), both exact.
+def verify_moment_identity(dist: EntryDistribution, n: int, G: AbelianPGroup) -> MomentIdentityResult:
+    """E|Hom(cok(M), G)| versus sum over g in G**n of P(Mg = 0), both exact,
+    for an n x n matrix M with iid `dist` entries.
 
     The left side enumerates every matrix in the support (exact SNF each),
     the right side enumerates vectors; the two must agree identically.
     """
-    if law.rows != law.cols:
-        raise ValueError("moment identity needs a square law")
-    n = law.rows
-    if len(law.support) ** (n * n) > MOMENT_ENUM_GUARD:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    atoms = _atom_count(dist)
+    if atoms ** (n * n) > MOMENT_ENUM_GUARD:
         raise EnumerationGuardError("matrix enumeration too large")
+    if G.order ** n * atoms > MOMENT_ENUM_GUARD:
+        raise EnumerationGuardError("vector enumeration too large")
+    support = dist.support_pairs()
 
     lhs = Fraction(0)
-    for cells in itertools.product(law.support, repeat=n * n):
+    for cells in itertools.product(support, repeat=n * n):
         prob = math.prod((w for _, w in cells), start=Fraction(1))
         values = [v for v, _ in cells]
         part, free = cokernel_partition([values[i * n:(i + 1) * n] for i in range(n)], G.p)
@@ -136,7 +125,7 @@ def verify_moment_identity(law: FiniteSupportMatrixLaw, G: AbelianPGroup) -> Mom
 
     rhs = Fraction(0)
     for g in itertools.product(G.elements(), repeat=n):
-        row_prob = _dot_distribution(G, g, law.support).get(G.zero(), Fraction(0))
+        row_prob = _dot_distribution(G, g, support).get(G.zero(), Fraction(0))
         rhs += row_prob ** n
     return MomentIdentityResult(lhs, rhs, lhs == rhs)
 
@@ -150,14 +139,15 @@ class BalancedSumsResult(NamedTuple):
     s_max: Fraction
 
 
-def verify_balanced_sums(law: FiniteSupportMatrixLaw, G0: AbelianPGroup) -> BalancedSumsResult:
+def verify_balanced_sums(dist: EntryDistribution, n: int, G0: AbelianPGroup) -> BalancedSumsResult:
     """S_min = sum over generating g in G0**n of min_f P(Mg = f), and S_max
-    with the max; both approach 1 for balanced entries as n grows."""
-    if law.rows != law.cols:
-        raise ValueError("balanced sums need a square law")
-    n = law.rows
-    if G0.order ** n > BALANCED_ENUM_GUARD:
+    with the max, for an n x n matrix M with iid `dist` entries; both
+    approach 1 for balanced entries as n grows."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if G0.order ** n * _atom_count(dist) > BALANCED_ENUM_GUARD:
         raise EnumerationGuardError("vector enumeration too large")
+    support = dist.support_pairs()
     elems = G0.elements()
     full = frozenset(elems)
     s_min = Fraction(0)
@@ -171,7 +161,7 @@ def verify_balanced_sums(law: FiniteSupportMatrixLaw, G0: AbelianPGroup) -> Bala
             closure_cache[key] = gen
         if not gen:
             continue
-        marg = _dot_distribution(G0, g, law.support)
+        marg = _dot_distribution(G0, g, support)
         # rows iid and f ranges over G0**n, so min/max factor across rows
         lo = min((marg.get(c, Fraction(0)) for c in elems))
         hi = max(marg.values())
@@ -191,15 +181,15 @@ class ResidualBoundResult(NamedTuple):
 
 
 def verify_residual_bound(
-    law: FiniteSupportMatrixLaw,
+    dist: EntryDistribution,
     G: AbelianPGroup,
     G0: frozenset,
     g: Sequence,
     m: int,
     f: Sequence | None = None,
 ) -> ResidualBoundResult:
-    """P(f + Mg in G0**m) <= (1 - eps)**m for an m x len(g) matrix with the
-    law's iid entries, eps the law's certified balancedness constant at p."""
+    """P(f + Mg in G0**m) <= (1 - eps)**m for an m x len(g) matrix with iid
+    `dist` entries, eps = dist.best_epsilon(p), its balancedness constant."""
     if not (subgroup_closure(G, g) - G0):
         raise ValueError("precondition violated: <g> is contained in G0")
     if m < 0:
@@ -208,14 +198,16 @@ def verify_residual_bound(
         f = [G.zero()] * m
     if len(f) != m:
         raise ValueError("f must have m coordinates")
-    marg = _dot_distribution(G, g, law.support)
+    if len(g) * G.order * _atom_count(dist) > BALANCED_ENUM_GUARD:
+        raise EnumerationGuardError("atom enumeration too large")
+    marg = _dot_distribution(G, g, dist.support_pairs())
     prob = Fraction(1)
     for fr in f:
         prob *= sum(
             (w for c, w in marg.items() if G.add(fr, c) in G0),
             start=Fraction(0),
         )
-    eps = law.entry_epsilon(G.p)
+    eps = dist.best_epsilon(G.p)
     bound = (1 - eps) ** m
     return ResidualBoundResult(prob, bound, prob <= bound)
 
@@ -320,15 +312,15 @@ class W0DecompositionResult(NamedTuple):
 
 
 def verify_w0_decomposition(
-    law: FiniteSupportMatrixLaw,
+    dist: EntryDistribution,
     G: AbelianPGroup,
     i: int,
-    k: int,
     block_sizes: Sequence[int],
     B_fixed: Sequence[Sequence[int]] | None = None,
 ) -> W0DecompositionResult:
     """Exact sum of P(Cg = 0) over vectors g with w(g) = 0 and t(g) = i, with
-    B frozen to a deterministic fill, against the target c(G, i) * C(k, i).
+    B frozen to a deterministic fill, against the target c(G, i) * C(k, i)
+    with k = len(block_sizes); the A blocks have iid `dist` entries.
 
     P(Cg = 0) factors block row by block row: the first block row needs
     A_11 g_1 = 0, and block row i needs A_ii g_i to hit the deterministic
@@ -337,10 +329,11 @@ def verify_w0_decomposition(
     (w=0, t=i) stratum is checked exactly elsewhere.
     """
     sizes = [int(s) for s in block_sizes]
-    if len(sizes) != k or any(s < 1 for s in sizes):
-        raise ValueError("need k positive block sizes")
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("need at least one block, every size positive")
+    k = len(sizes)
     n = sum(sizes)
-    if G.order ** n > W0_ENUM_GUARD:
+    if G.order ** n * _atom_count(dist) > W0_ENUM_GUARD:
         raise EnumerationGuardError("vector enumeration too large")
     if B_fixed is None:
         B_fixed = [[0] * n for _ in range(n)]
@@ -348,7 +341,7 @@ def verify_w0_decomposition(
     for s in sizes:
         offs.append(offs[-1] + s)
 
-    support = law.support
+    support = dist.support_pairs()
     zero = G.zero()
     total = Fraction(0)
     count = 0
@@ -391,9 +384,9 @@ def verify_w0_decomposition(
 def suite_identity() -> list[tuple[str, bool, str]]:
     checks = []
     laws = {
-        "uniform01": [(0, Fraction(1, 2)), (1, Fraction(1, 2))],
-        "uniform012": [(0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))],
-        "skewed": [(0, Fraction(1, 2)), (1, Fraction(1, 3)), (3, Fraction(1, 6))],
+        "uniform01": EntryDistribution.uniform_mod(2),
+        "uniform012": EntryDistribution.uniform_mod(3),
+        "skewed": EntryDistribution.finite_support([(0, "1/2"), (1, "1/3"), (3, "1/6")]),
     }
     groups = [
         AbelianPGroup(2, (1,)),
@@ -401,11 +394,10 @@ def suite_identity() -> list[tuple[str, bool, str]]:
         AbelianPGroup(2, (1, 1)),
         AbelianPGroup(2, (2,)),
     ]
-    for name, support in laws.items():
+    for name, dist in laws.items():
         for n in (1, 2):
-            law = FiniteSupportMatrixLaw(n, n, tuple(support))
             for G in groups:
-                res = verify_moment_identity(law, G)
+                res = verify_moment_identity(dist, n, G)
                 checks.append(
                     (
                         f"Hom-moment identity, {name}, n={n}, G={G.label()}",
@@ -419,8 +411,7 @@ def suite_identity() -> list[tuple[str, bool, str]]:
 def suite_balanced() -> list[tuple[str, bool, str]]:
     checks = []
     G0 = AbelianPGroup(2, (1,))
-    u01 = [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
-    res = verify_balanced_sums(FiniteSupportMatrixLaw(8, 8, tuple(u01)), G0)
+    res = verify_balanced_sums(EntryDistribution.uniform_mod(2), 8, G0)
     expected = 1 - Fraction(1, 256)
     checks.append(
         (
@@ -429,14 +420,14 @@ def suite_balanced() -> list[tuple[str, bool, str]]:
             f"s_min={res.s_min} s_max={res.s_max} expected={expected}",
         )
     )
-    bern = [(0, Fraction(7, 10)), (1, Fraction(3, 10))]
+    bern = EntryDistribution.bernoulli("3/10")
     # |S_max - 1| peaks at n=5 for this law and decays strictly afterwards,
     # so the monotone stretch of the grid starts at 6; |S_min - 1| is
     # monotone from the start.
     max_gaps = []
     min_gaps = []
     for n in (4, 6, 8, 10):
-        r = verify_balanced_sums(FiniteSupportMatrixLaw(n, n, tuple(bern)), G0)
+        r = verify_balanced_sums(bern, n, G0)
         max_gaps.append(abs(r.s_max - 1))
         min_gaps.append(abs(r.s_min - 1))
     checks.append(
@@ -496,14 +487,6 @@ def suite_chains(samples: int = 10 ** 4, seed: int = 7) -> list[tuple[str, bool,
     ]
 
 
-def _partitions(size: int, cap: int):
-    """Every partition of at most `size` with parts <= cap, () included."""
-    yield ()
-    for first in range(min(size, cap), 0, -1):
-        for rest in _partitions(size - first, first):
-            yield (first,) + rest
-
-
 def suite_decomposition() -> list[tuple[str, bool, str]]:
     checks = []
     ok = True
@@ -512,7 +495,7 @@ def suite_decomposition() -> list[tuple[str, bool, str]]:
     small_groups = [
         AbelianPGroup(p, lam)
         for p in (2, 3, 5, 7, 11, 13)
-        for lam in _partitions(4, 4)
+        for lam in _subpartitions((4, 4, 4, 4))
         if p ** sum(lam) <= 16
     ]
     for G in small_groups:
@@ -531,8 +514,9 @@ def suite_decomposition() -> list[tuple[str, bool, str]]:
             "; ".join(detail) or "all equal",
         )
     )
-    law = FiniteSupportMatrixLaw(1, 1, ((0, Fraction(1, 2)), (1, Fraction(1, 2))))
-    res = verify_w0_decomposition(law, AbelianPGroup(2, (1,)), i=1, k=2, block_sizes=(1, 1))
+    res = verify_w0_decomposition(
+        EntryDistribution.uniform_mod(2), AbelianPGroup(2, (1,)), i=1, block_sizes=(1, 1)
+    )
     checks.append(
         (
             "w=0 probability decomposition recorded (no threshold)",

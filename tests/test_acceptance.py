@@ -7,7 +7,6 @@ pins determinism across worker budgets.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,6 @@ from cokfluct import (
     AbelianPGroup,
     EnsembleSpec,
     EntryDistribution,
-    FiniteSupportMatrixLaw,
     chain_count,
     compare_ensembles,
     hom_count,
@@ -129,10 +127,10 @@ def test_1e_uniform_exact_sum():
     ),
 )
 def test_1e_bernoulli_trend_as_stated():
-    bern = ((0, Fraction(7, 10)), (1, Fraction(3, 10)))
+    bern = EntryDistribution.bernoulli("3/10")
     with timed("1e-bern"):
         gaps = [
-            abs(verify_balanced_sums(FiniteSupportMatrixLaw(n, n, bern), Z2).s_max - 1)
+            abs(verify_balanced_sums(bern, n, Z2).s_max - 1)
             for n in (4, 6, 8)
         ]
     ok = gaps[0] > gaps[1] > gaps[2]

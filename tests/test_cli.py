@@ -40,6 +40,12 @@ class TestRunConfig:
         cfg = RunConfig.from_dict(json.loads(path.read_text()))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("trials", [-5, True])
+    def test_bad_trials_rejected(self, tmp_path, trials):
+        cfg = RunConfig.from_dict(json.loads(make_config(tmp_path).read_text()))
+        with pytest.raises(ConfigError, match="trials"):
+            RunConfig(ensemble=cfg.ensemble, trials=trials)
+
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"schema_version": 1})
@@ -175,6 +181,7 @@ class TestSimulate:
                 "p": 2, "kind": "matrix_product", "k": 3, "n": 4.5,
                 "A_dist": {"kind": "uniform_mod", "m": 2}, "master_seed": 1,
             }),
+            (("trials",), True),
         ],
     )
     def test_non_integer_field_exits_2(self, tmp_path, path, value):

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from cokfluct import (
     AbelianPGroup,
+    ConfigError,
     EnsembleSpec,
     EntryDistribution,
     ExperimentReport,
-    FiniteSupportMatrixLaw,
     build_bidiagonal_embedding,
     cokernel_partition,
     compare_ensembles,
@@ -572,6 +572,13 @@ class TestRunExperiment:
         assert rep.centered_counts == {}
         assert math.isnan(rep.hom_moments[Z2.label()].mean)
 
+    @pytest.mark.parametrize("trials", [-5, True, 2.0])
+    def test_trial_count_validated(self, trials):
+        # checked before any trial: a report of -5 trials fails
+        # ExperimentReport.from_dict, and a bool is not a count
+        with pytest.raises(ConfigError, match="trials"):
+            run_experiment(toy_spec(), trials, [Z2], [(1,)], d=1)
+
     def test_non_integer_lambda_rejected(self):
         # (1.5,) is not run as lambda = (1)
         with pytest.raises(ValueError, match="partition part must be an integer, got 1.5"):
@@ -693,13 +700,9 @@ class TestRunExperiment:
 
     def test_small_n_empirical_matches_exact_oracle(self):
         # same statistic, cross-checked against the exact enumeration oracle
-        n = 4
-        law = FiniteSupportMatrixLaw(
-            n, n, ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
-        )
-        exact = verify_moment_identity(law, Z2)
+        spec = toy_spec(n=4, A_dist=EntryDistribution.uniform_mod(2), master_seed=5150)
+        exact = verify_moment_identity(spec.A_dist, spec.n, Z2)
         assert exact.equal
-        spec = toy_spec(n=n, A_dist=EntryDistribution.uniform_mod(2), master_seed=5150)
         rep = run_experiment(spec, 20000, [Z2], [], d=1)
         est = rep.hom_moments[Z2.label()]
         assert est.mean == pytest.approx(float(exact.lhs), abs=0.05)
