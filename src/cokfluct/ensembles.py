@@ -24,6 +24,7 @@ exact in float64, and both `sample_product` and the screen reduce it.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,9 +84,10 @@ def config_object(value, name: str) -> dict:
 
 
 def config_fraction(value, name: str) -> Fraction:
-    """An exact probability from a JSON number or a string such as "1/3"; a
-    bool, null or malformed string is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """An exact probability from a number (a JSON number, or any rational
+    such as a Fraction) or a string such as "1/3"; a bool, null or malformed
+    string is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Rational, float, str)):
         raise ConfigError(f"{name} must be a number or a fraction string, got {value!r}")
     try:
         return Fraction(value)
@@ -141,7 +143,7 @@ class EntryDistribution:
 
     @classmethod
     def bernoulli(cls, q) -> "EntryDistribution":
-        q = Fraction(q)
+        q = config_fraction(q, "q")
         if not 0 <= q <= 1:
             raise ConfigError("bernoulli needs q in [0, 1]")
         return cls(kind="bernoulli", q=q)
@@ -156,7 +158,7 @@ class EntryDistribution:
 
     @classmethod
     def finite_support(cls, pairs) -> "EntryDistribution":
-        cleaned = [(config_int(v, "support value"), Fraction(w)) for v, w in pairs]
+        cleaned = [(config_int(v, "support value"), config_fraction(w, "support weight")) for v, w in pairs]
         if not cleaned:
             raise ConfigError("finite_support needs at least one atom")
         if any(w <= 0 for _, w in cleaned):
@@ -246,7 +248,7 @@ class EntryDistribution:
             if kind == "uniform_mod":
                 return cls.uniform_mod(d["m"])
             if kind == "bernoulli":
-                return cls.bernoulli(config_fraction(d["q"], "q"))
+                return cls.bernoulli(d["q"])
             if kind == "uniform_range":
                 return cls.uniform_range(d["low"], d["high"])
             if kind == "finite_support":
@@ -255,9 +257,7 @@ class EntryDistribution:
                     isinstance(pair, list) and len(pair) == 2 for pair in support
                 ):
                     raise ConfigError(f"support must be a list of [value, weight] pairs, got {support!r}")
-                return cls.finite_support(
-                    [(v, config_fraction(w, "support weight")) for v, w in support]
-                )
+                return cls.finite_support(support)
             if kind == "constant":
                 return cls.constant(d["value"])
         except KeyError as exc:
@@ -519,8 +519,9 @@ def build_bidiagonal_embedding(factors) -> np.ndarray:
     if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
         raise ValueError("need one or more square factors of equal size")
     k, n, _ = stack.shape
-    full = np.zeros((n * k, n * k), dtype=stack.dtype)
-    for i, f in enumerate(stack):
-        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = f
+    full = np.zeros((k, n, k, n), dtype=stack.dtype)  # full[i, :, j] is block (i, j)
+    diagonal = np.arange(k)
+    full[diagonal, :, diagonal] = stack
+    full = full.reshape(n * k, n * k)
     np.fill_diagonal(full[n:, :-n], 1)
     return full

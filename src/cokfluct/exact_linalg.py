@@ -9,16 +9,20 @@ Gauss-Jordan search over GF(p) finds a maximal set of unit pivots in every
 diagonal block (a block is one Python int of row lanes at p = 2), one
 batched Newton iteration lifts the inverses of all the pivot blocks to mod
 p**N, and one forward substitution, one GEMM pair per block, leaves the
-Schur complement of the rows and columns without a pivot.  That much
-smaller matrix then goes through the same step as a single block, and
-through one more per divide-by-p level.
+Schur complement of the rows and columns without a pivot.  The substitution
+reads each block row from its lead column, the first column where any of
+its rows is nonzero, so block row i of a block bidiagonal matrix costs two
+blocks, not i + 1.  The Schur complement, a much smaller matrix, then goes
+through the same step as a single block, and through one more per
+divide-by-p level.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
 The kernel takes one with (p, N) and reduces mod p**N only what it reads:
 the GF(p) search reduces its gathers mod p, and every block of rows a GEMM
-reads is reduced and lifted to float64 as it is gathered (_float_residues),
-so no trial builds a reduced copy first.  An object matrix, or any matrix
+reads is reduced and lifted to float64 as it is gathered (a bit mask or %
+and one table lookup up to p**N = 2**16, _float_residues past it), so no
+trial builds a reduced copy first.  An object matrix, or any matrix
 past the float64 bound, is reduced once up front instead.
 
 There are two arithmetics.  The kernel and two batched routines compute in
@@ -434,6 +438,11 @@ def streaming_block_eliminate(a, block_sizes: Sequence[int], p: int, N: int) -> 
     iteration lifts the inverses of all their pivot blocks to mod p**N, and
     one forward substitution leaves the Schur complement S of the defect
     rows and columns (those without a pivot), with cok(S) = cok(a) mod p**N.
+    The substitution reads block row i from its lead column, the first
+    column where any of its rows is nonzero, which the block-structure check
+    reads off the mask it builds anyway: a block bidiagonal row, such as a
+    row of a product's embedding, is two blocks wide however far down it
+    lies.
     Every diagonal block of S is 0 mod p, so the unit pivots S still has lie
     off them; S then goes through one more step as a single block.
 
@@ -480,9 +489,12 @@ def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tu
         a = residues(a.astype(object, copy=False), q)
     elif a.dtype != np.int64:
         a = residues(a, q).astype(np.int64)
+    lead = None
     if len(sizes) > 1:
         lay = _layout(sizes)
         above = a != 0
+        # the lead column of each block row: the first column where any of its rows is nonzero
+        lead = np.minimum.reduceat(above.argmax(axis=1), lay.offsets[:-1]).tolist()
         above &= lay.above
         if above.any():
             above &= residues(a, q) != 0  # a multiple of p**N is 0
@@ -490,7 +502,7 @@ def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tu
                 block = bisect.bisect_right(lay.offsets, int(np.argmax(above.any(axis=1))))
                 raise BlockStructureError(f"block row {block} has a nonzero block above the diagonal")
 
-    _, work = _eliminate_units(a, sizes, p, N)
+    _, work = _eliminate_units(a, sizes, p, N, lead)
     if len(sizes) > 1 and work.any():  # the unit pivots off the diagonal blocks
         _, work = _eliminate_units(work, (len(work),), p, N)
     parts = []  # weakly increasing: the units found at level v are parts v
@@ -510,6 +522,7 @@ class _Layout(NamedTuple):
     eye: np.ndarray        # (k, s, s) uint8 identities
     two: np.ndarray        # twice that
     above: np.ndarray      # (n, n): whether the entry lies right of its row's diagonal block
+    flat: np.ndarray | None  # (k, s, s) for k > 1: the flat index of (lanes[i, t], lanes[i, u]) in the n x n matrix
 
 
 @functools.lru_cache(maxsize=64)
@@ -521,9 +534,11 @@ def _layout(sizes: tuple[int, ...]) -> _Layout:
     inside = t < np.array(sizes)[:, None]
     block = np.repeat(np.arange(k), sizes)
     eye = np.broadcast_to(np.eye(s, dtype=np.uint8), (k, s, s))
+    lanes = np.where(inside, first + t, first)
     return _Layout(
-        offsets, first, np.where(inside, first + t, first), inside[:, :, None] & inside[:, None, :],
+        offsets, first, lanes, inside[:, :, None] & inside[:, None, :],
         eye, 2 * eye, block[None, :] > block[:, None],
+        lanes[:, :, None] * offsets[-1] + lanes[:, None, :] if k > 1 else None,
     )
 
 
@@ -537,10 +552,10 @@ def residues(a, q: int):
     return a & (q - 1) if q & (q - 1) == 0 else a % q
 
 
-def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
+def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=None):
     """One elimination step mod q = p**precision on a block lower triangular
     integer matrix: within float_exact, int64 entries of any size, each
-    block reduced as it is read (_float_residues), or float64 symmetric
+    block reduced as it is read (`lift`), or float64 symmetric
     residues; past it, Python-int residues in [0, q), an object array.  The
     dtype of work selects the arithmetic and the lift, once per call;
     beyond q, p serves only the search over GF(p).
@@ -561,6 +576,10 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     The pivot blocks are taken in row order and padded with the identity to
     s x s, s the largest block: row t of A_i is row t of the block on the
     pivot columns of its pivot rows when t is a pivot row, e_t otherwise.
+    With several blocks, the diagonal and the pivot blocks are gathered
+    through the layout's flat index.  `lead`, when given, holds the lead
+    column of each block row (every column left of it is zero in that block
+    row), and the substitution reads block row i from lead[i] on.
 
     In float64 every GEMM runs on symmetric residues: it has at
     most n terms, each a product of two residues, so float_exact(n, q)
@@ -570,11 +589,17 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     q = p ** precision
     in_float = work.dtype != object
     reduce = functools.partial(_symmetric, q=q) if in_float else functools.partial(residues, q=q)
-    lift = functools.partial(_float_residues, q=q) if work.dtype == np.int64 else (lambda a: a)
+    if work.dtype != np.int64:
+        lift = lambda b: b
+    elif q <= 2 ** 16:  # one residue rule, then one lookup
+        table = _symmetric_table(q)
+        lift = lambda b: table.take(residues(b, q))
+    else:
+        lift = functools.partial(_float_residues, q=q)
     lay = _layout(sizes)
     n, k = len(work), len(sizes)
-    bits = work[None] if k == 1 else work[lay.lanes[:, :, None], lay.lanes[:, None, :]]
-    bits = residues(bits.astype(np.int64) if bits.dtype == np.float64 else bits, p)
+    diag = work[None] if k == 1 else work.take(lay.flat)
+    bits = residues(diag.astype(np.int64) if diag.dtype == np.float64 else diag, p)
     if k > 1:
         bits *= lay.inside
     cols, inv = _unit_pivots(bits.astype(np.uint8 if p == 2 else np.int64), p, lay.eye)
@@ -587,9 +612,11 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     if k == 1 and precision == 1:  # S is 0 mod p, as the pivot set is maximal
         return r, np.zeros((n - r, n - r), dtype=work.dtype)
 
-    cols += lay.first
     square = pivot[:, :, None] & pivot[:, None, :]
-    a = np.where(square, lift(work[lay.lanes[:, :, None], cols[:, None, :]]), lay.eye)
+    # flat[i, t, 0] + c is the flat index of (lanes[i, t], column c of block i)
+    blocks = work[:, cols[0]][None] if k == 1 else work.take(lay.flat[:, :, :1] + cols[:, None, :])
+    a = np.where(square, lift(blocks), lay.eye)
+    cols += lay.first
     x = np.where(square, inv, lay.eye).astype(a.dtype)
     delay = in_float and float_exact(n * n * (q // 2 + 1), q)
     once = (lambda y: y) if delay else reduce
@@ -608,7 +635,8 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int):
     x = -x
     for i, (start, end) in enumerate(itertools.pairwise(lay.offsets)):
         size = end - start
-        t = once(np.dot(lift(work[start:end, :end]), w[:end]))
+        lo = 0 if lead is None else lead[i]  # columns left of lo are zero in these rows
+        t = once(np.dot(lift(work[start:end, lo:end]), w[lo:end]))
         w[target[i, :size]] = reduce(np.dot(x[i, :size, :size], t))
     return r, reduce(np.dot(lift(work[free_rows]), w[:n]))
 

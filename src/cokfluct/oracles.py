@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ensembles import UNIFORM_KINDS, EntryDistribution, build_bidiagonal_embedding
-from .exact_linalg import cokernel_partition, snf_diagonal
+from .exact_linalg import _positive_int, cokernel_partition, snf_diagonal
 from .experiments import hom_moment_of_trial
 from .pgroups import (
     AbelianPGroup,
@@ -328,9 +328,9 @@ def verify_w0_decomposition(
     independent.  The target is exact only in the limit; the vector count per
     (w=0, t=i) stratum is checked exactly elsewhere.
     """
-    sizes = [int(s) for s in block_sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("need at least one block, every size positive")
+    sizes = [_positive_int(s, "block size") for s in block_sizes]
+    if not sizes:
+        raise ValueError("need at least one block")
     k = len(sizes)
     n = sum(sizes)
     if G.order ** n * _atom_count(dist) > W0_ENUM_GUARD:

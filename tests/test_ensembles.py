@@ -166,6 +166,25 @@ class TestEntryDistribution:
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
             build()
 
+    @pytest.mark.parametrize("q", [True, False, None, "1/", "x", [1]], ids=repr)
+    def test_bad_bernoulli_q_rejected_on_both_paths(self, q):
+        # the constructor checks what from_dict checks: a bool is not q = 1 or 0
+        with pytest.raises(ConfigError, match="^q must be a number"):
+            EntryDistribution.bernoulli(q)
+        with pytest.raises(ConfigError, match="^q must be a number"):
+            EntryDistribution.from_dict({"kind": "bernoulli", "q": q})
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), "1/3", 0.5, 1, np.int64(0)], ids=repr)
+    def test_bernoulli_q_forms_accepted(self, q):
+        assert EntryDistribution.bernoulli(q).q == Fraction(q)
+
+    @pytest.mark.parametrize("w", [True, None, "1/"], ids=repr)
+    def test_bad_support_weight_rejected_on_both_paths(self, w):
+        with pytest.raises(ConfigError, match="^support weight must be a number"):
+            EntryDistribution.finite_support([(0, 1), (1, w)])
+        with pytest.raises(ConfigError, match="^support weight must be a number"):
+            EntryDistribution.from_dict({"kind": "finite_support", "support": [[0, 1], [1, w]]})
+
 
 class TestEnsembleSpecValidation:
     def test_unbalanced_A_rejected(self):

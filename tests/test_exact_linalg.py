@@ -654,6 +654,53 @@ class TestStreamingBlockEliminate:
                 for got in (drawn, pairs, whole):
                     assert_matches_exact(got, rows, p, N)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_block_rows_read_from_their_lead_column(self, p):
+        # the forward substitution reads block row i from its lead column,
+        # the first column where any of its rows is nonzero; rows that
+        # start past column 0 in every way: zero leading blocks, an all-zero
+        # block row, the B = 0 bidiagonal shape, a lead column inside the
+        # diagonal block, and multiples of p**N above the diagonal (in an
+        # int64 matrix they stay nonzero, so a block row that is zero up to
+        # its diagonal block can have its lead column past it)
+        rng = random.Random(500 + p)
+        shapes = ("full", "bidiagonal", "zero_lead", "inside", "zero")
+        for _ in range(20):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+            offs = [0, *itertools.accumulate(sizes)]
+            n = offs[-1]
+            rows = [[0] * n for _ in range(n)]
+            for bi, shape in enumerate(rng.choice(shapes) for _ in sizes):
+                lead = {
+                    "full": 0,
+                    "bidiagonal": offs[max(bi - 1, 0)],
+                    "zero_lead": offs[rng.randint(0, bi)],
+                    "inside": offs[bi] + rng.randint(0, sizes[bi] - 1),
+                    "zero": offs[bi + 1],
+                }[shape]
+                scale = rng.choice([1, 1, p, 0])
+                for r in range(offs[bi], offs[bi + 1]):
+                    for c in range(lead, offs[bi + 1]):
+                        x = rng.randint(-9, 9)
+                        rows[r][c] = scale * x if c >= offs[bi] else x
+                    if lead < offs[bi + 1]:  # so that lead is the row's first nonzero column
+                        rows[r][lead] = rng.choice([1, -1, p + 1])
+            for N, arithmetic in ((1, np.float64), (3, np.float64), (40, object)):
+                assert kernel_arithmetic(n, p, N) is arithmetic
+                q = p ** N
+                above = [row[:] for row in rows]
+                for r in range(n):
+                    end = offs[bisect.bisect_right(offs, r)]
+                    for c in range(end, n):
+                        above[r][c] = q * rng.choice([0, 1, -2, 5])
+                forms = [rows, above]
+                if q * 5 < 2 ** 63:  # unreduced in int64, so the multiples of q stay nonzero
+                    forms.append(np.array(above, dtype=np.int64))
+                whole = streaming_block_eliminate(rows, [n], p, N)
+                assert_matches_exact(whole, rows, p, N)
+                for m in forms:
+                    assert streaming_block_eliminate(m, sizes, p, N) == whole
+
     def test_saturation_passes_through(self):
         got = streaming_block_eliminate([[2, 0], [0, 8]], [1, 1], 2, 2)
         assert got == (2, 1)

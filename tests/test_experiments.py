@@ -756,19 +756,25 @@ class TestRunExperiment:
         assert working_depth(2, [AbelianPGroup(2, (5, 1))]) == 5
 
     def test_bidiagonal_embedding_kind_matches_product_kind(self):
-        base = dict(
-            p=2, k=4, n=3,
-            A_dist=EntryDistribution.uniform_range(-5, 5), master_seed=2024,
-        )
-        prod = run_experiment(
-            EnsembleSpec(kind="matrix_product", **base), 200, [Z2], [(1,)], d=1
-        )
-        emb = run_experiment(
-            EnsembleSpec(kind="bidiagonal_embedding", **base), 200, [Z2], [(1,)], d=1
-        )
-        # identical factor streams, identical cokernels, trial by trial
-        assert prod.centered_counts == emb.centered_counts
-        assert prod.hom_moments == emb.hom_moments
+        # the embedding goes through the block kernel, whose substitution
+        # reads each block row from its lead column, and the product through
+        # the dense one; at d = 3 the types reach past the first p-adic level
+        for p, d, groups in ((2, 1, [Z2]), (3, 3, [AbelianPGroup(3, (1,)), AbelianPGroup(3, (2, 1))])):
+            base = dict(
+                p=p, k=4, n=3,
+                A_dist=EntryDistribution.uniform_range(-5, 5), master_seed=2024,
+            )
+            prod_spec = EnsembleSpec(kind="matrix_product", **base)
+            emb_spec = EnsembleSpec(kind="bidiagonal_embedding", **base)
+            prod = run_experiment(prod_spec, 200, groups, [(1,)], d=d)
+            emb = run_experiment(emb_spec, 200, groups, [(1,)], d=d)
+            # identical factor streams, identical cokernels, trial by trial
+            records = trial_records(prod_spec, range(200), d)
+            assert records == trial_records(emb_spec, range(200), d)
+            assert any(part > 1 for r in records for part in r.partition) == (d > 1)
+            assert prod.centered_counts == emb.centered_counts
+            assert prod.hom_moments == emb.hom_moments
+            assert prod.l_moments == emb.l_moments
 
 
 class TestCompareEnsembles:

@@ -267,6 +267,12 @@ class TestW0Decomposition:
         res = verify_w0_decomposition(U01, Z2, i=1, block_sizes=(1, 1, 1), B_fixed=ones)
         assert 0 <= res.total <= res.vector_count
 
+    @pytest.mark.parametrize("sizes", [(1.7, 1), (True, 1), (0, 1), ()], ids=["1.7", "True", "0", "none"])
+    def test_block_sizes_checked_not_truncated(self, sizes):
+        # (1.7, 1) once ran as (1, 1) and (True, 1) as (1, 1)
+        with pytest.raises(ValueError):
+            verify_w0_decomposition(U01, Z2, i=1, block_sizes=sizes)
+
 
 # the atoms 0 and 1, each with probability 1/2, in every form a config names
 ZERO_ONE_FORMS = [
