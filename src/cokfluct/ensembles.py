@@ -24,7 +24,6 @@ exact in float64, and both `sample_product` and the screen reduce it.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,14 +83,14 @@ def config_object(value, name: str) -> dict:
 
 
 def config_fraction(value, name: str) -> Fraction:
-    """An exact probability from a number (a JSON number, or any rational
-    such as a Fraction) or a string such as "1/3"; a bool, null or malformed
+    """An exact probability from anything `Fraction` reads (a JSON number, a
+    Fraction, a Decimal) or a string such as "1/3"; a bool, null or malformed
     string is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (numbers.Rational, float, str)):
+    if isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be a number or a fraction string, got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number or a fraction string, got {value!r}") from exc
 
 
@@ -519,9 +518,8 @@ def build_bidiagonal_embedding(factors) -> np.ndarray:
     if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
         raise ValueError("need one or more square factors of equal size")
     k, n, _ = stack.shape
-    full = np.zeros((k, n, k, n), dtype=stack.dtype)  # full[i, :, j] is block (i, j)
-    diagonal = np.arange(k)
-    full[diagonal, :, diagonal] = stack
-    full = full.reshape(n * k, n * k)
+    full = np.zeros((n * k, n * k), dtype=stack.dtype)
+    for i, f in enumerate(stack):
+        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = f
     np.fill_diagonal(full[n:, :-n], 1)
     return full

@@ -11,18 +11,17 @@ batched Newton iteration lifts the inverses of all the pivot blocks to mod
 p**N, and one forward substitution, one GEMM pair per block, leaves the
 Schur complement of the rows and columns without a pivot.  The substitution
 reads each block row from its lead column, the first column where any of
-its rows is nonzero, so block row i of a block bidiagonal matrix costs two
-blocks, not i + 1.  The Schur complement, a much smaller matrix, then goes
-through the same step as a single block, and through one more per
-divide-by-p level.
+its rows is nonzero (0 if one of its rows is zero), so block row i of a
+block bidiagonal matrix costs two blocks, not i + 1.  The Schur complement,
+a much smaller matrix, then goes through the same step as a single block,
+and through one more per divide-by-p level.
 
 Integer matrices are plain 2-D arrays (int64 or object) or nested lists; the
 exact routines copy them into rows of Python ints before any arithmetic.
 The kernel takes one with (p, N) and reduces mod p**N only what it reads:
 the GF(p) search reduces its gathers mod p, and every block of rows a GEMM
-reads is reduced and lifted to float64 as it is gathered (a bit mask or %
-and one table lookup up to p**N = 2**16, _float_residues past it), so no
-trial builds a reduced copy first.  An object matrix, or any matrix
+reads is reduced and lifted to float64 as it is gathered (_float_residues),
+so no trial builds a reduced copy first.  An object matrix, or any matrix
 past the float64 bound, is reduced once up front instead.
 
 There are two arithmetics.  The kernel and two batched routines compute in
@@ -442,7 +441,8 @@ def streaming_block_eliminate(a, block_sizes: Sequence[int], p: int, N: int) -> 
     column where any of its rows is nonzero, which the block-structure check
     reads off the mask it builds anyway: a block bidiagonal row, such as a
     row of a product's embedding, is two blocks wide however far down it
-    lies.
+    lies.  A zero row has no nonzero column and puts the lead of its block
+    row at 0, so such a block row is read whole.
     Every diagonal block of S is 0 mod p, so the unit pivots S still has lie
     off them; S then goes through one more step as a single block.
 
@@ -493,7 +493,8 @@ def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tu
     if len(sizes) > 1:
         lay = _layout(sizes)
         above = a != 0
-        # the lead column of each block row: the first column where any of its rows is nonzero
+        # the lead column of each block row: the first column where any of its rows is nonzero;
+        # argmax reads 0 for a zero row, so a block row with one is read from column 0
         lead = np.minimum.reduceat(above.argmax(axis=1), lay.offsets[:-1]).tolist()
         above &= lay.above
         if above.any():
@@ -522,7 +523,6 @@ class _Layout(NamedTuple):
     eye: np.ndarray        # (k, s, s) uint8 identities
     two: np.ndarray        # twice that
     above: np.ndarray      # (n, n): whether the entry lies right of its row's diagonal block
-    flat: np.ndarray | None  # (k, s, s) for k > 1: the flat index of (lanes[i, t], lanes[i, u]) in the n x n matrix
 
 
 @functools.lru_cache(maxsize=64)
@@ -534,11 +534,9 @@ def _layout(sizes: tuple[int, ...]) -> _Layout:
     inside = t < np.array(sizes)[:, None]
     block = np.repeat(np.arange(k), sizes)
     eye = np.broadcast_to(np.eye(s, dtype=np.uint8), (k, s, s))
-    lanes = np.where(inside, first + t, first)
     return _Layout(
-        offsets, first, lanes, inside[:, :, None] & inside[:, None, :],
+        offsets, first, np.where(inside, first + t, first), inside[:, :, None] & inside[:, None, :],
         eye, 2 * eye, block[None, :] > block[:, None],
-        lanes[:, :, None] * offsets[-1] + lanes[:, None, :] if k > 1 else None,
     )
 
 
@@ -555,7 +553,7 @@ def residues(a, q: int):
 def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=None):
     """One elimination step mod q = p**precision on a block lower triangular
     integer matrix: within float_exact, int64 entries of any size, each
-    block reduced as it is read (`lift`), or float64 symmetric
+    block reduced as it is read (_float_residues), or float64 symmetric
     residues; past it, Python-int residues in [0, q), an object array.  The
     dtype of work selects the arithmetic and the lift, once per call;
     beyond q, p serves only the search over GF(p).
@@ -576,10 +574,9 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=
     The pivot blocks are taken in row order and padded with the identity to
     s x s, s the largest block: row t of A_i is row t of the block on the
     pivot columns of its pivot rows when t is a pivot row, e_t otherwise.
-    With several blocks, the diagonal and the pivot blocks are gathered
-    through the layout's flat index.  `lead`, when given, holds the lead
-    column of each block row (every column left of it is zero in that block
-    row), and the substitution reads block row i from lead[i] on.
+    `lead`, when given, holds the lead column of each block row (every
+    column left of it is zero in that block row), and the substitution reads
+    block row i from lead[i] on.
 
     In float64 every GEMM runs on symmetric residues: it has at
     most n terms, each a product of two residues, so float_exact(n, q)
@@ -589,17 +586,11 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=
     q = p ** precision
     in_float = work.dtype != object
     reduce = functools.partial(_symmetric, q=q) if in_float else functools.partial(residues, q=q)
-    if work.dtype != np.int64:
-        lift = lambda b: b
-    elif q <= 2 ** 16:  # one residue rule, then one lookup
-        table = _symmetric_table(q)
-        lift = lambda b: table.take(residues(b, q))
-    else:
-        lift = functools.partial(_float_residues, q=q)
+    lift = functools.partial(_float_residues, q=q) if work.dtype == np.int64 else (lambda a: a)
     lay = _layout(sizes)
     n, k = len(work), len(sizes)
-    diag = work[None] if k == 1 else work.take(lay.flat)
-    bits = residues(diag.astype(np.int64) if diag.dtype == np.float64 else diag, p)
+    bits = work[None] if k == 1 else work[lay.lanes[:, :, None], lay.lanes[:, None, :]]
+    bits = residues(bits.astype(np.int64) if bits.dtype == np.float64 else bits, p)
     if k > 1:
         bits *= lay.inside
     cols, inv = _unit_pivots(bits.astype(np.uint8 if p == 2 else np.int64), p, lay.eye)
@@ -612,11 +603,9 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=
     if k == 1 and precision == 1:  # S is 0 mod p, as the pivot set is maximal
         return r, np.zeros((n - r, n - r), dtype=work.dtype)
 
-    square = pivot[:, :, None] & pivot[:, None, :]
-    # flat[i, t, 0] + c is the flat index of (lanes[i, t], column c of block i)
-    blocks = work[:, cols[0]][None] if k == 1 else work.take(lay.flat[:, :, :1] + cols[:, None, :])
-    a = np.where(square, lift(blocks), lay.eye)
     cols += lay.first
+    square = pivot[:, :, None] & pivot[:, None, :]
+    a = np.where(square, lift(work[lay.lanes[:, :, None], cols[:, None, :]]), lay.eye)
     x = np.where(square, inv, lay.eye).astype(a.dtype)
     delay = in_float and float_exact(n * n * (q // 2 + 1), q)
     once = (lambda y: y) if delay else reduce

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestEntryDistribution:
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
             build()
 
-    @pytest.mark.parametrize("q", [True, False, None, "1/", "x", [1]], ids=repr)
+    @pytest.mark.parametrize("q", [True, False, None, "1/", "x", [1], np.bool_(True)], ids=repr)
     def test_bad_bernoulli_q_rejected_on_both_paths(self, q):
         # the constructor checks what from_dict checks: a bool is not q = 1 or 0
         with pytest.raises(ConfigError, match="^q must be a number"):
@@ -174,8 +175,9 @@ class TestEntryDistribution:
         with pytest.raises(ConfigError, match="^q must be a number"):
             EntryDistribution.from_dict({"kind": "bernoulli", "q": q})
 
-    @pytest.mark.parametrize("q", [Fraction(1, 3), "1/3", 0.5, 1, np.int64(0)], ids=repr)
+    @pytest.mark.parametrize("q", [Fraction(1, 3), "1/3", 0.5, 1, np.int64(0), Decimal("0.3")], ids=repr)
     def test_bernoulli_q_forms_accepted(self, q):
+        # whatever Fraction reads, as the constructor did before it checked for bools
         assert EntryDistribution.bernoulli(q).q == Fraction(q)
 
     @pytest.mark.parametrize("w", [True, None, "1/"], ids=repr)

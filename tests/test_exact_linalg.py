@@ -660,9 +660,11 @@ class TestStreamingBlockEliminate:
         # the first column where any of its rows is nonzero; rows that
         # start past column 0 in every way: zero leading blocks, an all-zero
         # block row, the B = 0 bidiagonal shape, a lead column inside the
-        # diagonal block, and multiples of p**N above the diagonal (in an
-        # int64 matrix they stay nonzero, so a block row that is zero up to
-        # its diagonal block can have its lead column past it)
+        # diagonal block, and multiples of p**N above the diagonal.  A zero
+        # row puts its block row's lead at 0, so the all-zero block row is
+        # read whole, except in the unreduced int64 form: there the multiples
+        # of p**N right of its block stay nonzero and can put its lead past
+        # the block, where it reads an empty slice
         rng = random.Random(500 + p)
         shapes = ("full", "bidiagonal", "zero_lead", "inside", "zero")
         for _ in range(20):
