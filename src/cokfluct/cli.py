@@ -48,8 +48,12 @@ class RunConfig:
     reproducible: bool = False
 
     def __post_init__(self):
-        if self.workers < 1:
+        if config_int(self.workers, "workers") < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.reproducible, bool):
+            raise ConfigError(f"reproducible must be true or false, got {self.reproducible!r}")
         validate_run(self.ensemble.p, self.trials, self.groups, self.lambdas, self.d, self.zeta)
 
     def to_dict(self) -> dict:
@@ -76,12 +80,6 @@ class RunConfig:
         if "trials" not in d:
             raise ConfigError("config needs a 'trials' count")
 
-        def typed(key, default, kind, what):
-            value = d.get(key, default)
-            if not isinstance(value, kind):
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
-            return value
-
         try:
             groups = tuple(AbelianPGroup(g["p"], g["lambda"]) for g in d.get("groups", []))
             lambdas = tuple(as_partition(lam) for lam in d.get("lambdas", []))
@@ -90,14 +88,14 @@ class RunConfig:
         worker_budget(1)  # a malformed COKFLUCT_WORKERS is a configuration error
         return cls(
             ensemble=EnsembleSpec.from_dict(d["ensemble"]),
-            trials=config_int(d["trials"], "trials"),
+            trials=d["trials"],
             groups=groups,
             lambdas=lambdas,
-            d=config_int(d.get("d", 3), "d"),
+            d=d.get("d", 3),
             zeta=config_number(d.get("zeta", 0.0), "zeta"),
-            workers=config_int(d.get("workers", 1), "workers"),
-            output_dir=typed("output_dir", "run", str, "a string"),
-            reproducible=typed("reproducible", False, bool, "true or false"),
+            workers=d.get("workers", 1),
+            output_dir=d.get("output_dir", "run"),
+            reproducible=d.get("reproducible", False),
         )
 
 

@@ -126,7 +126,6 @@ class EntryDistribution:
     finite_support, constant."""
 
     kind: str
-    modulus: int | None = None
     q: Fraction | None = None
     low: int | None = None
     high: int | None = None
@@ -138,7 +137,7 @@ class EntryDistribution:
         if not 1 <= config_int(m, "m") <= 2 ** 63:
             raise ConfigError("uniform_mod needs 1 <= modulus <= 2**63")
         # counted and drawn as uniform_range(0, m - 1), never enumerated
-        return cls(kind="uniform_mod", modulus=m, low=0, high=m - 1)
+        return cls(kind="uniform_mod", low=0, high=m - 1)
 
     @classmethod
     def bernoulli(cls, q) -> "EntryDistribution":
@@ -229,7 +228,7 @@ class EntryDistribution:
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.kind == "uniform_mod":
-            d["m"] = self.modulus
+            d["m"] = self.high + 1
         elif self.kind == "bernoulli":
             d["q"] = str(self.q)
         elif self.kind == "uniform_range":
@@ -352,13 +351,13 @@ class EnsembleSpec:
             if sizes and not isinstance(sizes, (list, tuple)):
                 raise ConfigError(f"block_sizes must be a list of integers, got {sizes!r}")
             return cls(
-                p=config_int(d["p"], "p"),
+                p=d["p"],
                 kind=d["kind"],
-                k=config_int(d["k"], "k"),
+                k=d["k"],
                 A_dist=EntryDistribution.from_dict(d["A_dist"]),
-                master_seed=config_int(d["master_seed"], "master_seed"),
-                block_sizes=tuple(config_int(s, "block_sizes entry") for s in sizes) if sizes else None,
-                n=config_int(d["n"], "n") if d.get("n") is not None else None,
+                master_seed=d["master_seed"],
+                block_sizes=sizes or None,
+                n=d.get("n"),
                 B_dist=EntryDistribution.from_dict(d["B_dist"]) if d.get("B_dist") else None,
             )
         except KeyError as exc:

@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .pgroups import _is_prime
+from .pgroups import _integer, _is_prime
 
 __all__ = [
     "CokernelPartition",
@@ -467,11 +467,12 @@ def streaming_block_eliminate(a, block_sizes: Sequence[int], p: int, N: int) -> 
 
 
 def _positive_int(x, name: str) -> int:
-    """x as an int if it is an int or numpy integer >= 1, not a bool; else
+    """x as a Python int if it is an integer (pgroups._integer) >= 1; else
     ValueError."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
+    x = _integer(x, name)
+    if x < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
-    return int(x)
+    return x
 
 
 def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tuple[int, ...]:
@@ -517,7 +518,6 @@ def _block_type(a: np.ndarray, block_sizes: Sequence[int], p: int, N: int) -> tu
 
 class _Layout(NamedTuple):
     offsets: list[int]     # the first row of each block, then n
-    first: np.ndarray      # (k, 1): the first row of each block
     lanes: np.ndarray      # (k, s): row t of block i, for s the largest block; its first row past the block
     inside: np.ndarray     # (k, s, s): whether (t, u) lies in block i
     eye: np.ndarray        # (k, s, s) uint8 identities
@@ -535,7 +535,7 @@ def _layout(sizes: tuple[int, ...]) -> _Layout:
     block = np.repeat(np.arange(k), sizes)
     eye = np.broadcast_to(np.eye(s, dtype=np.uint8), (k, s, s))
     return _Layout(
-        offsets, first, np.where(inside, first + t, first), inside[:, :, None] & inside[:, None, :],
+        offsets, np.where(inside, first + t, first), inside[:, :, None] & inside[:, None, :],
         eye, 2 * eye, block[None, :] > block[:, None],
     )
 
@@ -593,7 +593,9 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=
     bits = residues(bits.astype(np.int64) if bits.dtype == np.float64 else bits, p)
     if k > 1:
         bits *= lay.inside
-    cols, inv = _unit_pivots(bits.astype(np.uint8 if p == 2 else np.int64), p, lay.eye)
+    # the odd-p sweep multiplies two residues: int64 while (p - 1)**2 fits, Python ints past it
+    search = np.uint8 if p == 2 else np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+    cols, inv = _unit_pivots(bits.astype(search), p, lay.eye)
     pivot = cols >= 0
     r = int(np.count_nonzero(pivot))
     if r == 0:
@@ -603,7 +605,7 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=
     if k == 1 and precision == 1:  # S is 0 mod p, as the pivot set is maximal
         return r, np.zeros((n - r, n - r), dtype=work.dtype)
 
-    cols += lay.first
+    cols += lay.lanes[:, :1]
     square = pivot[:, :, None] & pivot[:, None, :]
     a = np.where(square, lift(work[lay.lanes[:, :, None], cols[:, None, :]]), lay.eye)
     x = np.where(square, inv, lay.eye).astype(a.dtype)
@@ -632,7 +634,8 @@ def _eliminate_units(work, sizes: tuple[int, ...], p: int, precision: int, lead=
 
 def _unit_pivots(bits: np.ndarray, p: int, eye: np.ndarray):
     """Gauss-Jordan over GF(p), column by column, on each matrix of a
-    (k, s, s) stack of residues mod p (uint8 at p = 2, int64 otherwise);
+    (k, s, s) stack of residues mod p (uint8 at p = 2, else int64 while
+    (p - 1)**2 < 2**63 and Python ints past it);
     `eye` is a (k, s, s) uint8 stack of identities.
 
     Returns (cols, inv): cols[i, t] is the pivot column of row t of block i,
@@ -686,7 +689,7 @@ def _unit_pivots(bits: np.ndarray, p: int, eye: np.ndarray):
             at = hit.argmax(axis=1)
             head = aug[blocks, at]
             scale = [pow(int(v), -1, p) if h else 0 for v, h in zip(head[:, j], has)]
-            head = head * np.array(scale, dtype=np.int64)[:, None] % p
+            head = head * np.array(scale, dtype=aug.dtype)[:, None] % p
             aug = (aug - aug[:, :, j, None] * head[:, None, :]) % p
             aug[blocks[has], at[has]] = head[has]
             cols[blocks[has], at[has]] = j

@@ -339,9 +339,9 @@ def _has_singular_block(blocks: np.ndarray) -> bool:
     least KERNEL_VECTOR_ROWS rows is singular when has_kernel_vector checks
     an integer kernel vector exactly; otherwise, and for smaller blocks,
     rational_rank decides.  The cut is where the two cost the same on a
-    singular 0/1 block, timed per size; which blocks of 10-15 rows reach
-    this step in practice is unmeasured, and on a nonsingular block the
-    vector is pure overhead.
+    singular 0/1 block, timed per size; on a nonsingular block the vector
+    is pure overhead.  Of the benchmark workloads (README) only product_k64
+    settles many trials here, each by a checked vector.
     Floats only order the blocks and propose vectors: a singular answer is
     an exact integer identity, and a nonsingular one is rational_rank's."""
     m = blocks.shape[1]
@@ -415,16 +415,16 @@ def validate_run(
     lam_list: Sequence[Sequence[int]],
     d: int,
     zeta: float,
-) -> None:
-    """Raise ConfigError unless trials is an integer >= 0 (not a bool),
-    d >= 1, zeta lies in [0, 1), every group is a p-group, every lambda has
-    at most d parts, and every target's group (G, or the group of type
-    lambda' and order p**|lambda|) is within the order bound of
-    pgroups.chain_count."""
+) -> FluctuationParams:
+    """The run's FluctuationParams, or ConfigError unless trials is an
+    integer >= 0 and d one >= 1 (JSON integers, as both go into the report),
+    zeta lies in [0, 1), every group is a p-group, every lambda has at most d
+    parts, and every target's group (G, or the group of type lambda' and
+    order p**|lambda|) is within the order bound of pgroups.chain_count."""
     if config_int(trials, "trials") < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     try:
-        FluctuationParams(p, zeta, d)
+        params = FluctuationParams(p, zeta, config_int(d, "d"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -442,6 +442,7 @@ def validate_run(
             check_target_order(p, e)
         except LatticeGuardError as exc:
             raise ConfigError(f"{what}: {exc}") from None
+    return params
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
@@ -514,8 +515,7 @@ def run_experiment(
     pure function of the configuration.
     """
     lam_list = [as_partition(lam) for lam in lam_list]
-    validate_run(spec.p, trials, G_list, lam_list, d, zeta)
-    params = FluctuationParams(spec.p, zeta, d)
+    params = validate_run(spec.p, trials, G_list, lam_list, d, zeta)
 
     records = _collect_records(spec, trials, working_depth(d, G_list), workers)
     partitions = [r.partition for r in records]

@@ -46,6 +46,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="trials"):
             RunConfig(ensemble=cfg.ensemble, trials=trials)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("workers", 2.5, "workers must be an integer, got 2.5"),
+            ("output_dir", 5, "output_dir must be a string, got 5"),
+            ("reproducible", "yes", "reproducible must be true or false, got 'yes'"),
+        ],
+        ids=["workers", "output_dir", "reproducible"],
+    )
+    def test_python_api_checks_each_field(self, tmp_path, field, value, message):
+        # the constructor runs the checks simulate runs, so RunConfig(...) refuses what a config file may not hold
+        cfg = RunConfig.from_dict(json.loads(make_config(tmp_path).read_text()))
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(ensemble=cfg.ensemble, trials=10, **{field: value})
+
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"schema_version": 1})
@@ -456,11 +471,14 @@ class TestCompare:
             (("generator",), 5, "generator must be a string"),
             (("l_moments", "(1)", "count"), 5, "l_moments.(1).count must be 20, got 5"),
             (("hom_moments", "2:(1)", "count"), 21, "hom_moments.2:(1).count must be 20, got 21"),
+            (("l_moments", "(1)", "median"), 1.0, "l_moments.(1) must have exactly the keys"),
+            (("hom_moments", "2:(1)"), {"mean": 1.0, "count": 20}, "hom_moments.2:(1) must have exactly the keys"),
         ],
         ids=[
             "count-1.5", "count-string", "count-true", "mean-string", "moment-count-string", "zeta-string",
             "count-negative", "histogram-sum", "included-negative", "counts-sum", "trials-negative",
             "moment-count-negative", "generator-int", "l-moment-count", "hom-moment-count",
+            "moment-extra-key", "moment-missing-keys",
         ],
     )
     def test_malformed_report_field_exits_2(self, tmp_path, path, value, message):
@@ -478,6 +496,26 @@ class TestCompare:
         res = runner.invoke(main, ["compare", str(report), str(report)])
         assert res.exit_code == 2, res.output
         assert "config error:" in res.output and message in res.output
+
+    @pytest.mark.parametrize(
+        "path,value,message", [(("spec", "p"), 3, "on p"), (("zeta",), 0.5, "on zeta")], ids=["p", "zeta"]
+    )
+    def test_reports_that_disagree_exit_2(self, tmp_path, path, value, message):
+        runner = CliRunner()
+        cfg = make_config(tmp_path, trials=20)
+        runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        report = tmp_path / "x" / "report.json"
+        raw = json.loads(report.read_text())
+        *outer, key = path
+        target = raw
+        for part in outer:
+            target = target[part]
+        target[key] = value
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(raw))
+        res = runner.invoke(main, ["compare", str(report), str(other)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: reports disagree {message}" in res.output
 
     def test_mismatched_reports_exit_2(self, tmp_path):
         runner = CliRunner()

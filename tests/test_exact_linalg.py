@@ -209,6 +209,8 @@ class TestInputForms:
                     streaming_block_eliminate(bad, [1], p, 2)
         with pytest.raises(ValueError, match="matrix dimensions must be positive"):
             padic_valuations(np.zeros((0, 0), dtype=np.int64), 2, 2)
+        with pytest.raises(ValueError, match="padic_valuations expects a square matrix"):
+            padic_valuations([[1, 0, 0], [0, 1, 0]], 2, 2)
 
     @pytest.mark.parametrize(
         "sizes,p,N",
@@ -231,9 +233,12 @@ class TestInputForms:
     def test_kernel_validates_each_entry_once(self, monkeypatch):
         index = operator.index
         calls = []
+        m = np.array([[6, -2], [7, 2 ** 70]], dtype=object)
+        padic_valuations(m, 2, 3)  # caches the layout, whose np.eye calls operator.index too
         monkeypatch.setattr(operator, "index", lambda x: calls.append(x) or index(x))
-        got = padic_valuations(np.array([[6, -2], [7, 2 ** 70]], dtype=object), 2, 3)
-        assert len(calls) == 4
+        got = padic_valuations(m, 2, 3)
+        # each entry once, then p, N and the one block size, which follow the same integer rule
+        assert calls == [6, -2, 7, 2 ** 70, 2, 3, 2]
         assert got == truncated_type(*cokernel_partition([[6, 6], [7, 0]], 2), 3) == (1,)
 
     @pytest.mark.parametrize("p,N", [(2, 1), (2, 3), (2, 62), (2, 90), (3, 4), (5, 30)])
@@ -702,6 +707,34 @@ class TestStreamingBlockEliminate:
                 assert_matches_exact(whole, rows, p, N)
                 for m in forms:
                     assert streaming_block_eliminate(m, sizes, p, N) == whole
+
+    def test_odd_prime_past_int64_products(self):
+        # at p = 4294967311 the product of two residues mod p passes 2**63, so
+        # the GF(p) search must not sweep int64; half the matrices are singular
+        # mod p, where a wrapped product shows up as a spurious pivot
+        p = 4294967311
+        rng = random.Random(7)
+
+        def block(size, singular):
+            m = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+            if singular:  # the last row is a multiple of the first mod p
+                c = rng.randrange(1, p)
+                m[-1] = [c * x + p * rng.randint(-3, 3) for x in m[0]] if size > 1 else [p * rng.randint(-3, 3)]
+            return m
+
+        for trial in range(24):
+            rows = block(rng.randint(2, 4), trial % 2)
+            sizes = [rng.randint(1, 2) for _ in range(3)]
+            offs = [0, *itertools.accumulate(sizes)]
+            blocks = [[rng.randrange(p) for _ in range(offs[-1])] for _ in range(offs[-1])]
+            for bi, size in enumerate(sizes):
+                diagonal = block(size, trial % 2 and bi != 1)
+                for r in range(size):
+                    row = blocks[offs[bi] + r]
+                    row[offs[bi]:] = diagonal[r] + [0] * (offs[-1] - offs[bi + 1])
+            for N in (1, 2):
+                assert_matches_exact(padic_valuations(rows, p, N), rows, p, N)
+                assert_matches_exact(streaming_block_eliminate(blocks, sizes, p, N), blocks, p, N)
 
     def test_saturation_passes_through(self):
         got = streaming_block_eliminate([[2, 0], [0, 8]], [1, 1], 2, 2)

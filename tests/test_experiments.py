@@ -579,6 +579,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="trials"):
             run_experiment(toy_spec(), trials, [Z2], [(1,)], d=1)
 
+    def test_numpy_d_rejected_before_any_trial(self, monkeypatch):
+        # d goes into report.json, so it must be a JSON integer, as trials is
+        monkeypatch.setattr("cokfluct.experiments._collect_records", lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match="d must be an integer, got np.int64"):
+            run_experiment(toy_spec(), 10, [Z2], [(1,)], d=np.int64(2))
+
     def test_non_integer_lambda_rejected(self):
         # (1.5,) is not run as lambda = (1)
         with pytest.raises(ValueError, match="partition part must be an integer, got 1.5"):
